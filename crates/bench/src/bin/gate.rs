@@ -27,7 +27,7 @@
 //!   i.e. the cache stopped caching.
 //! * **work** (≤ baseline × tolerance) — constraint evaluations per
 //!   constraint for both solver strategies, total summary solves, and
-//!   heap allocation counts per solver and per lattice backend.
+//!   heap allocation counts per solver and for the lattice store.
 //!   Deterministic counters: immune to machine noise.
 //! * **time** (≤ baseline × time tolerance, calibration-normalised) —
 //!   wall-clock totals divided by the run's own `calibration_us` (the
@@ -39,9 +39,8 @@
 //!   algorithmic regression tightly. Peak RSS rides under the same bar.
 //! * **hard floors** (fresh run only) — the SCC strategy must beat the
 //!   worklist (`scc_speedup_over_worklist ≥ 1.0`: it is the engine
-//!   default on that argument), and the sharded warm pass must not lose
-//!   to the serial one. The wavefront pipeline must likewise not lose to
-//!   its own serial leg (`parallel.speedup_over_serial ≥ 1.0`) — but
+//!   default on that argument). The wavefront pipeline must likewise not
+//!   lose to its own serial leg (`parallel.speedup_over_serial ≥ 1.0`) — but
 //!   only when the fresh run actually had workers (`parallel.jobs ≥ 2`);
 //!   on a single-core host both legs run the identical serial path and
 //!   the row is informational. The resident daemon must likewise beat the
@@ -153,7 +152,6 @@ fn main() {
             fresh.occurrence("total_allocs", i),
         );
     }
-    gate.at_most("lattice.arc_allocs", blat.num("arc_allocs"), flat.num("arc_allocs"));
     gate.at_most("lattice.dense_allocs", blat.num("dense_allocs"), flat.num("dense_allocs"));
 
     // Time: wall clock normalised by each run's own calibration solve,
@@ -179,15 +177,6 @@ fn main() {
         binc.num("warm_us") / bc,
         finc.num("warm_us") / fc,
     );
-    gate.at_most(
-        "incremental.sharded_warm/calib",
-        binc.num("sharded_warm_us") / bc,
-        finc.num("sharded_warm_us") / fc,
-    );
-    // Sharding must actually pay for its threads *on this run*: the
-    // sharded warm pass may not be slower than the serial one (within
-    // the time tolerance), whatever the baseline recorded.
-    gate.at_most("incremental.sharded_vs_warm", finc.num("warm_us"), finc.num("sharded_warm_us"));
     // The resident daemon: a warm re-upload round trip and one resident
     // query over the loopback socket, normalised like every other
     // wall-clock metric.
@@ -210,8 +199,7 @@ fn main() {
         bstore.num("warm_upload_us") / bc,
         fstore.num("warm_upload_us") / fc,
     );
-    // Lattice backends, normalised like the solver totals.
-    gate.at_most("lattice.arc_us/calibration", blat.num("arc_us") / bc, flat.num("arc_us") / fc);
+    // The lattice store, normalised like the solver totals.
     gate.at_most(
         "lattice.dense_us/calibration",
         blat.num("dense_us") / bc,

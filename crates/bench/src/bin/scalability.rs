@@ -11,15 +11,12 @@
 //!   precision gained (`Contextuality::Summaries` vs `Intra` no-alias
 //!   counts), summary facts/solves, and build-time overhead;
 //! * the incremental engine over the same family — cold summary build vs
-//!   a warm run against a just-serialized cache (`warm_us`, `hit_rate`),
-//!   plus the same warm run at `jobs > 1` through the engine's wavefront
-//!   scheduler (`sharded_warm_us`) to show the cache composes with
-//!   parallelism;
+//!   a warm run against a just-serialized cache (`warm_us`, `hit_rate`);
 //! * the wavefront-parallel summary pipeline on a wide call graph —
 //!   `jobs = 1` vs `jobs = N` wall clock (`parallel_speedup_over_serial`;
 //!   the host's parallelism is recorded so the gate only enforces the
 //!   floor where threads exist);
-//! * the dense backend's `Inter` hot path on a deterministic
+//! * the lattice store's `Inter` hot path on a deterministic
 //!   intersection-heavy system (`dense_inter_us`);
 //! * the resident daemon (`sraa serve`) — a warm re-upload round trip
 //!   (`serve.upload_us`), one resident `no-alias` query over the socket
@@ -37,8 +34,8 @@
 
 use sraa_bench::{alloc_count, peak_rss_kb, r_squared, suite_n, Prepared};
 use sraa_core::{
-    persist, Constraint, EngineConfig, GenConfig, Jobs, LatticeBackend, ModuleSummaries,
-    SolverKind, SummaryKeys, VarId, VarIndex,
+    persist, Constraint, EngineConfig, GenConfig, Jobs, ModuleSummaries, SolverKind, SummaryKeys,
+    VarId, VarIndex,
 };
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
@@ -66,14 +63,6 @@ struct SolverTotals {
     ys: Vec<f64>, // best-of-three solve time (µs)
 }
 
-/// Wall clock and allocator pressure of one lattice-store backend, both
-/// solvers combined — the numbers behind the `--lattice` default.
-struct LatticeTotals {
-    backend: LatticeBackend,
-    total_us: f64,
-    total_allocs: u64,
-}
-
 fn main() {
     let mut ws = sraa_synth::test_suite(suite_n());
     ws.extend(sraa_synth::spec_all());
@@ -90,10 +79,6 @@ fn main() {
             xs: Vec::new(),
             ys: Vec::new(),
         })
-        .collect();
-    let mut lattices: Vec<LatticeTotals> = LatticeBackend::CONCRETE
-        .into_iter()
-        .map(|backend| LatticeTotals { backend, total_us: 0.0, total_allocs: 0 })
         .collect();
 
     for w in &ws {
@@ -134,24 +119,6 @@ fn main() {
                 }
             }
         }
-
-        // Same corpus, pinned lattice backends (default solver): the
-        // measurement behind `LatticeBackend::Auto`'s threshold.
-        let solver = SolverKind::default().solver();
-        for l in &mut lattices {
-            let mut dt = f64::INFINITY;
-            let mut allocs = 0;
-            for _ in 0..3 {
-                let a0 = alloc_count();
-                let t0 = Instant::now();
-                let sol = solver.solve_with(&sys.constraints, sys.num_vars, l.backend);
-                dt = dt.min(t0.elapsed().as_secs_f64() * 1e6);
-                allocs = alloc_count() - a0;
-                std::hint::black_box(sol);
-            }
-            l.total_us += dt;
-            l.total_allocs += allocs;
-        }
     }
 
     println!("benchmarks analysed      : {}", ws.len());
@@ -178,18 +145,6 @@ fn main() {
     for t in &totals {
         println!("{:<9} allocations    : {}", t.kind.as_str(), t.total_allocs);
     }
-    let (arc, dense) = (&lattices[0], &lattices[1]);
-    assert_eq!((arc.backend, dense.backend), (LatticeBackend::Arc, LatticeBackend::Dense));
-    println!(
-        "lattice arc vs dense     : {:.0}µs / {:.0}µs wall-clock ({:.2}x), \
-         {} / {} allocs (scc solver)",
-        arc.total_us,
-        dense.total_us,
-        arc.total_us / dense.total_us.max(1e-9),
-        arc.total_allocs,
-        dense.total_allocs
-    );
-
     let total_vars: usize = size_hist.values().sum();
     let small: usize = size_hist.iter().filter(|(s, _)| **s <= 2).map(|(_, n)| n).sum();
     let small_pct = small as f64 / total_vars.max(1) as f64 * 100.0;
@@ -224,12 +179,10 @@ fn main() {
     println!();
     println!("incremental summary cache (call-heavy suite, {} workloads):", inc.workloads);
     println!(
-        "  cold build {:.0}µs → warm {:.0}µs ({:.2}x) → sharded warm {:.0}µs ({} shards)",
+        "  cold build {:.0}µs → warm {:.0}µs ({:.2}x)",
         inc.cold_us,
         inc.warm_us,
-        inc.cold_us / inc.warm_us.max(1e-9),
-        inc.sharded_warm_us,
-        inc.shards
+        inc.cold_us / inc.warm_us.max(1e-9)
     );
     println!(
         "  {} function(s) warmed, hit rate {:.1}% (unchanged modules must be 100%)",
@@ -281,7 +234,6 @@ fn main() {
         &ws.len(),
         total_constraints,
         &totals,
-        &lattices,
         small_pct,
         &size_hist,
         &inter,
@@ -348,32 +300,24 @@ fn interproc_stats() -> InterprocStats {
 
 /// Incremental-engine metrics over the call-heavy family: the cost of a
 /// cold summary build (keys + per-SCC solves), a warm run against a
-/// just-serialized cache (keys + lookups, no solves), and the same warm
-/// run at `jobs > 1` ("sharded"), now through the engine's one wavefront
-/// scheduler instead of a bespoke round-robin — so the jobs knob and the
-/// sharding can never disagree. `hit_rate` over unchanged modules is the
-/// cache-correctness canary the perf gate tracks — anything under 1.0
-/// means keys churn without an edit.
+/// just-serialized cache (keys + lookups, no solves). `hit_rate` over
+/// unchanged modules is the cache-correctness canary the perf gate
+/// tracks — anything under 1.0 means keys churn without an edit.
 struct IncrementalStats {
     workloads: usize,
     functions: usize,
     cold_us: f64,
     warm_us: f64,
-    sharded_warm_us: f64,
-    shards: usize,
     hit_rate: f64,
 }
 
 fn incremental_stats() -> IncrementalStats {
     let calls = sraa_synth::call_suite(suite_n().min(24));
-    let shards = bench_jobs();
     let mut out = IncrementalStats {
         workloads: calls.len(),
         functions: 0,
         cold_us: 0.0,
         warm_us: 0.0,
-        sharded_warm_us: 0.0,
-        shards,
         hit_rate: 0.0,
     };
     let mut hits = 0u64;
@@ -406,7 +350,6 @@ fn incremental_stats() -> IncrementalStats {
                 GenConfig::default(),
                 &index,
                 solver,
-                LatticeBackend::Auto,
                 Jobs::N(NonZeroUsize::MIN),
             ));
         });
@@ -425,7 +368,6 @@ fn incremental_stats() -> IncrementalStats {
                 GenConfig::default(),
                 &index,
                 solver,
-                LatticeBackend::Auto,
                 Jobs::N(NonZeroUsize::MIN),
                 Some(&cache),
             ));
@@ -438,32 +380,6 @@ fn incremental_stats() -> IncrementalStats {
         }
         hits += u64::from(outcome.hits);
         out.functions += m.num_functions();
-
-        // Sharded warm: the identical warm run at `jobs = shards`, through
-        // the engine's own wavefront scheduler. On an unchanged module
-        // every component is a cache hit, which the scheduler installs
-        // serially (a lookup is tens of nanoseconds — no spawn can pay
-        // for itself), so this leg asserts the *no-pessimization* side of
-        // the unification: jobs > 1 must cost the same as jobs = 1 here.
-        let jobs = Jobs::N(NonZeroUsize::new(shards).expect("bench_jobs is ≥ 1"));
-        let mut sharded = None;
-        out.sharded_warm_us += best_of_3(&mut || {
-            sharded = Some(ModuleSummaries::compute_incremental(
-                &m,
-                &ranges,
-                GenConfig::default(),
-                &index,
-                solver,
-                LatticeBackend::Auto,
-                jobs,
-                Some(&cache),
-            ));
-        });
-        let (sharded, _, sharded_outcome) = sharded.expect("ran");
-        assert_eq!(sharded_outcome, outcome, "{}: outcome must not depend on jobs", w.name);
-        for (f, s) in cold.iter() {
-            assert_eq!(sharded.of(f), s, "{}: sharded warm summary differs", w.name);
-        }
     }
     out.hit_rate = hits as f64 / (out.functions.max(1)) as f64;
     out
@@ -525,15 +441,8 @@ fn parallel_stats() -> ParallelStats {
     };
     let run = |jobs: Jobs| {
         let t0 = Instant::now();
-        let sums = ModuleSummaries::compute(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            solver,
-            LatticeBackend::Auto,
-            jobs,
-        );
+        let sums =
+            ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, solver, jobs);
         (t0.elapsed().as_secs_f64() * 1e6, sums)
     };
     let mut serial = None;
@@ -550,7 +459,7 @@ fn parallel_stats() -> ParallelStats {
     out
 }
 
-/// Wall clock of the dense backend on a deterministic `Inter`-heavy
+/// Wall clock of the lattice store on a deterministic `Inter`-heavy
 /// system: a ground chain `x_{i+1} ⊇ {x_i} ∪ LT(x_i)` grows nested sets
 /// up to `chain` elements, then every `y_k` intersects three chain
 /// prefixes. Nested sets make the intersections match-heavy — exactly
@@ -583,7 +492,7 @@ fn dense_inter_us() -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let t0 = Instant::now();
-        let sol = solver.solve_with(&cs, num_vars, LatticeBackend::Dense);
+        let sol = solver.solve(&cs, num_vars);
         best = best.min(t0.elapsed().as_secs_f64() * 1e6);
         std::hint::black_box(sol);
     }
@@ -594,7 +503,7 @@ fn dense_inter_us() -> f64 {
 /// `upload_us` is a warm re-upload round trip (compile on the daemon +
 /// incremental classify with zero solves + re-render); `resident_query_us`
 /// is one `no-alias` query against the resident engine — a loopback
-/// socket round trip plus a memoized lookup; `oneshot_warm_us` is what
+/// socket round trip plus the Definition 3.11 check; `oneshot_warm_us` is what
 /// the same answer costs without the daemon: compile + e-SSA + a warm
 /// engine build against an in-memory summary cache + the query. The gate
 /// enforces resident ≤ one-shot warm on every fresh run — the daemon's
@@ -788,7 +697,6 @@ fn render_json(
     workloads: &usize,
     total_constraints: u64,
     totals: &[SolverTotals],
-    lattices: &[LatticeTotals],
     small_pct: f64,
     size_hist: &std::collections::BTreeMap<usize, usize>,
     inter: &InterprocStats,
@@ -829,8 +737,6 @@ fn render_json(
     let _ = writeln!(s, "    \"functions\": {},", inc.functions);
     let _ = writeln!(s, "    \"cold_us\": {:.1},", inc.cold_us);
     let _ = writeln!(s, "    \"warm_us\": {:.1},", inc.warm_us);
-    let _ = writeln!(s, "    \"sharded_warm_us\": {:.1},", inc.sharded_warm_us);
-    let _ = writeln!(s, "    \"shards\": {},", inc.shards);
     let _ = writeln!(s, "    \"hit_rate\": {:.4}", inc.hit_rate);
     s.push_str("  },\n");
     s.push_str("  \"serve\": {\n");
@@ -860,16 +766,11 @@ fn render_json(
         );
     }
     s.push_str("  ],\n");
+    // The one lattice store, as the engine's default (SCC) solver drives
+    // it over the corpus.
     s.push_str("  \"lattice\": {\n");
-    let _ = writeln!(s, "    \"arc_us\": {:.1},", lattices[0].total_us);
-    let _ = writeln!(s, "    \"dense_us\": {:.1},", lattices[1].total_us);
-    let _ = writeln!(s, "    \"arc_allocs\": {},", lattices[0].total_allocs);
-    let _ = writeln!(s, "    \"dense_allocs\": {},", lattices[1].total_allocs);
-    let _ = writeln!(
-        s,
-        "    \"dense_speedup_over_arc\": {:.4}",
-        lattices[0].total_us / lattices[1].total_us.max(1e-9)
-    );
+    let _ = writeln!(s, "    \"dense_us\": {:.1},", totals[1].total_us);
+    let _ = writeln!(s, "    \"dense_allocs\": {}", totals[1].total_allocs);
     s.push_str("  },\n");
     let _ = writeln!(
         s,

@@ -124,8 +124,7 @@ impl Prepared {
     }
 
     /// The BA+LT combination. The LT handle shares the prepared engine —
-    /// its solved relation and memo cache — instead of re-running the
-    /// pipeline.
+    /// its solved relation — instead of re-running the pipeline.
     pub fn ba_plus_lt(&self) -> Combined {
         Combined::new(vec![Box::new(self.ba.clone()), Box::new(self.lt.clone())])
     }

@@ -6,7 +6,7 @@
 //!                                        scoped threads)                 │
 //!                                                          FixpointSolver│(SolverKind)
 //!                                                                        ▼
-//!        queries (memoized pair cache, batch API) ◀────────────────  Solution
+//!        queries (Definition 3.11, batch API) ◀──────────────────  Solution
 //! ```
 //!
 //! Historically every consumer — the alias backends, the Pentagon
@@ -15,25 +15,23 @@
 //! The engine centralises that: it owns the interned [`VarIndex`] arena,
 //! runs constraint generation (fanning the per-function pass out across
 //! scoped threads on large modules), solves with a pluggable
-//! [`FixpointSolver`] strategy selected by [`SolverKind`], and serves all
-//! disambiguation queries from one memoized result cache. Consumers hold
-//! an engine (usually behind an `Arc`) and ask questions; none of them
-//! constructs solvers anymore.
+//! [`FixpointSolver`] strategy selected by [`SolverKind`], and answers
+//! every disambiguation query directly from the solved relation (two
+//! binary searches per criterion). Consumers hold an engine (usually
+//! behind an `Arc`) and ask questions; none of them constructs solvers
+//! anymore.
 
 use crate::analysis::{derived_pointer, strip_copies};
 use crate::constraints::{self, Constraint, GenConfig};
-use crate::fast_solver::solve_fast_with;
+use crate::fast_solver::solve_fast;
 use crate::jobs::Jobs;
-use crate::lattice::LatticeBackend;
 use crate::persist;
-use crate::solver::{solve_with, Solution, SolveStats};
+use crate::solver::{solve, Solution, SolveStats};
 use crate::store::{SharedSummaryStore, StoreOutcome};
 use crate::summary::{CacheOutcome, FunctionSummary, ModuleSummaries};
 use crate::var_index::VarIndex;
 use sraa_ir::{FuncId, Function, InstKind, Module, Type, Value};
 use sraa_range::RangeAnalysis;
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// A fixpoint strategy over the paper's constraint lattice. Both
 /// implementations return the same [`Solution`] representation and — by
@@ -43,20 +41,8 @@ pub trait FixpointSolver: Sync {
     /// Short name used in reports and CLI flags.
     fn name(&self) -> &'static str;
 
-    /// Solves the constraint system over `num_vars` variables with an
-    /// explicit lattice-store backend.
-    fn solve_with(
-        &self,
-        constraints: &[Constraint],
-        num_vars: usize,
-        lattice: LatticeBackend,
-    ) -> Solution;
-
-    /// Solves with the measured-default backend selection
-    /// ([`LatticeBackend::Auto`]).
-    fn solve(&self, constraints: &[Constraint], num_vars: usize) -> Solution {
-        self.solve_with(constraints, num_vars, LatticeBackend::Auto)
-    }
+    /// Solves the constraint system over `num_vars` variables.
+    fn solve(&self, constraints: &[Constraint], num_vars: usize) -> Solution;
 }
 
 /// The paper's §3.4 FIFO worklist (baseline fidelity).
@@ -68,13 +54,8 @@ impl FixpointSolver for WorklistSolver {
         "worklist"
     }
 
-    fn solve_with(
-        &self,
-        constraints: &[Constraint],
-        num_vars: usize,
-        lattice: LatticeBackend,
-    ) -> Solution {
-        solve_with(constraints, num_vars, lattice)
+    fn solve(&self, constraints: &[Constraint], num_vars: usize) -> Solution {
+        solve(constraints, num_vars)
     }
 }
 
@@ -87,13 +68,8 @@ impl FixpointSolver for SccSolver {
         "scc"
     }
 
-    fn solve_with(
-        &self,
-        constraints: &[Constraint],
-        num_vars: usize,
-        lattice: LatticeBackend,
-    ) -> Solution {
-        solve_fast_with(constraints, num_vars, lattice)
+    fn solve(&self, constraints: &[Constraint], num_vars: usize) -> Solution {
+        solve_fast(constraints, num_vars)
     }
 }
 
@@ -211,11 +187,6 @@ pub struct EngineConfig {
     pub solver: SolverKind,
     /// Interprocedural mode (default: [`Contextuality::Intra`]).
     pub contextuality: Contextuality,
-    /// Lattice-store backend for the solvers (default:
-    /// [`LatticeBackend::Auto`] — pick by measured constraint-count
-    /// threshold). Exposed as the `--lattice {auto,arc,dense}` CLI flag;
-    /// every backend yields byte-identical output.
-    pub lattice: LatticeBackend,
     /// Path of the persistent summary cache (the CLI's `--summary-cache`).
     /// Only meaningful with [`Contextuality::Summaries`] — the cache
     /// stores interprocedural summaries. When set, the engine reads the
@@ -267,12 +238,6 @@ impl EngineConfig {
         self
     }
 
-    /// This configuration with an explicit lattice-store backend.
-    pub fn with_lattice(mut self, lattice: LatticeBackend) -> Self {
-        self.lattice = lattice;
-        self
-    }
-
     /// This configuration with an explicit worker-thread count for the
     /// summary pipeline.
     pub fn with_jobs(mut self, jobs: Jobs) -> Self {
@@ -288,57 +253,23 @@ impl From<GenConfig> for EngineConfig {
 }
 
 /// The solved less-than relation over a whole module plus the pointer
-/// disambiguation criteria of the paper's Definition 3.11, behind a
-/// memoized query layer.
+/// disambiguation criteria of the paper's Definition 3.11.
 ///
-/// `no_alias` answers are cached per pointer pair (flat [`VarId`](crate::VarId) pairs
-/// are function-scoped, so the cache is effectively per-function); the
+/// Every `no_alias` verdict is computed directly from the solved
+/// relation, so the engine's memory stays fixed after construction; the
 /// batch API ([`DisambiguationEngine::no_alias_pairs`]) answers all-pairs
-/// queries in one call and warms the same cache. The engine is
-/// `Send + Sync` — share it behind an `Arc` instead of cloning results;
-/// the cache is sharded so concurrent sharers do not serialize on one
-/// lock.
-#[derive(Debug)]
+/// queries in one call. The engine is `Send + Sync` — share it behind an
+/// `Arc` instead of cloning results.
+#[derive(Clone, Debug)]
 pub struct DisambiguationEngine {
     index: VarIndex,
     solution: Solution,
     ranges: RangeAnalysis,
     cfg: GenConfig,
     solver: SolverKind,
-    lattice: LatticeBackend,
     /// Interprocedural summaries, when built with
     /// [`Contextuality::Summaries`].
     summaries: Option<ModuleSummaries>,
-    /// Memoized pair verdicts, keyed by ordered raw id pairs and sharded
-    /// by key so `Arc`-sharing consumers contend on 1/16th of a lock.
-    cache: [Mutex<HashMap<(u32, u32), bool>>; CACHE_SHARDS],
-}
-
-/// Power of two, so shard selection is a mask.
-const CACHE_SHARDS: usize = 16;
-
-fn fresh_cache() -> [Mutex<HashMap<(u32, u32), bool>>; CACHE_SHARDS] {
-    std::array::from_fn(|_| Mutex::new(HashMap::new()))
-}
-
-impl Clone for DisambiguationEngine {
-    fn clone(&self) -> Self {
-        Self {
-            index: self.index.clone(),
-            solution: self.solution.clone(),
-            ranges: self.ranges.clone(),
-            cfg: self.cfg,
-            solver: self.solver,
-            lattice: self.lattice,
-            summaries: self.summaries.clone(),
-            cache: std::array::from_fn(|i| {
-                // A poisoning panic cannot leave the map half-updated
-                // (single-call insert), so recover the data instead of
-                // cascading the panic into every sharer.
-                Mutex::new(self.cache[i].lock().unwrap_or_else(|e| e.into_inner()).clone())
-            }),
-        }
-    }
 }
 
 impl DisambiguationEngine {
@@ -380,13 +311,7 @@ impl DisambiguationEngine {
             Contextuality::Intra => None,
             Contextuality::Summaries => match (&cfg.summary_cache, Self::open_store(&cfg)) {
                 (None, None) => Some(ModuleSummaries::compute(
-                    module,
-                    ranges,
-                    cfg.gen,
-                    &index,
-                    solver,
-                    cfg.lattice,
-                    cfg.jobs,
+                    module, ranges, cfg.gen, &index, solver, cfg.jobs,
                 )),
                 (None, Some(store)) => {
                     // Store only: consult by content-addressed key, solve
@@ -398,7 +323,6 @@ impl DisambiguationEngine {
                         cfg.gen,
                         &index,
                         solver,
-                        cfg.lattice,
                         cfg.jobs,
                         None,
                         Some(&store),
@@ -597,7 +521,6 @@ impl DisambiguationEngine {
                 cfg.gen,
                 index,
                 cfg.solver.solver(),
-                cfg.lattice,
                 cfg.jobs,
                 cache,
                 store,
@@ -637,7 +560,7 @@ impl DisambiguationEngine {
             }
         };
         let solve_t0 = std::time::Instant::now();
-        let mut solution = solver.solve_with(&sys.constraints, sys.num_vars, cfg.lattice);
+        let mut solution = solver.solve(&sys.constraints, sys.num_vars);
 
         // Parameter-pair refinement (see `GenConfig::param_pairs`): when
         // every internal call site orders two arguments, the corresponding
@@ -673,7 +596,7 @@ impl DisambiguationEngine {
                 if !added {
                     break;
                 }
-                solution = solver.solve_with(&sys.constraints, sys.num_vars, cfg.lattice);
+                solution = solver.solve(&sys.constraints, sys.num_vars);
             }
         }
 
@@ -695,22 +618,13 @@ impl DisambiguationEngine {
             ranges: ranges.clone(),
             cfg: cfg.gen,
             solver: cfg.solver,
-            lattice: cfg.lattice,
             summaries,
-            cache: fresh_cache(),
         }
     }
 
     /// The strategy this engine solved with.
     pub fn solver_kind(&self) -> SolverKind {
         self.solver
-    }
-
-    /// The lattice-store backend this engine was configured with (before
-    /// `Auto` resolution — the backend never changes the answers, only
-    /// the representation the solvers iterate on).
-    pub fn lattice_backend(&self) -> LatticeBackend {
-        self.lattice
     }
 
     /// The interprocedural mode this engine was built with.
@@ -765,11 +679,6 @@ impl DisambiguationEngine {
         self.solution.size_histogram()
     }
 
-    /// Number of memoized pair verdicts currently cached.
-    pub fn cached_queries(&self) -> usize {
-        self.cache.iter().map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len()).sum()
-    }
-
     /// The paper's Definition 3.11: can `p1` and `p2` be proven disjoint?
     ///
     /// * Criterion 1 — `p1 ∈ LT(p2)` or `p2 ∈ LT(p1)`;
@@ -777,46 +686,11 @@ impl DisambiguationEngine {
     ///   offsets variables) with `x1 ∈ LT(x2)` or `x2 ∈ LT(x1)`.
     ///
     /// Both pointers must live in function `f`. Non-pointer operands
-    /// always answer `false`. Verdicts are memoized: repeated queries for
-    /// the same pair (optimisation passes re-ask constantly) are a cache
-    /// hit.
+    /// always answer `false`. The verdict is symmetric in `p1`/`p2`.
     pub fn no_alias(&self, func: &Function, f: FuncId, p1: Value, p2: Value) -> bool {
         if p1 == p2 {
             return false;
         }
-        let (a, b) = (self.index.id(f, p1).raw(), self.index.id(f, p2).raw());
-        let key = (a.min(b), a.max(b));
-        let shard = &self.cache[(key.0 ^ key.1) as usize & (CACHE_SHARDS - 1)];
-        if let Some(&hit) = shard.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            return hit;
-        }
-        let verdict = self.no_alias_uncached(func, f, p1, p2);
-        shard.lock().unwrap_or_else(|e| e.into_inner()).insert(key, verdict);
-        verdict
-    }
-
-    /// Batched pair-query API: disambiguates every unordered pair of
-    /// `ptrs` (the `aa-eval` access pattern), returning the pairs proven
-    /// disjoint, in input order. Warms the memo cache, so subsequent
-    /// point queries on the same pairs are hits.
-    pub fn no_alias_pairs(
-        &self,
-        func: &Function,
-        f: FuncId,
-        ptrs: &[Value],
-    ) -> Vec<(Value, Value)> {
-        let mut out = Vec::new();
-        for (i, &p1) in ptrs.iter().enumerate() {
-            for &p2 in &ptrs[i + 1..] {
-                if self.no_alias(func, f, p1, p2) {
-                    out.push((p1, p2));
-                }
-            }
-        }
-        out
-    }
-
-    fn no_alias_uncached(&self, func: &Function, f: FuncId, p1: Value, p2: Value) -> bool {
         let is_ptr = |v: Value| func.value_type(v).is_some_and(Type::is_ptr);
         if !is_ptr(p1) || !is_ptr(p2) {
             return false;
@@ -851,6 +725,27 @@ impl DisambiguationEngine {
             }
         }
         false
+    }
+
+    /// Batched pair-query API: disambiguates every unordered pair of
+    /// `ptrs` (the `aa-eval` access pattern), returning the pairs proven
+    /// disjoint, in input order — exactly the pairs a point
+    /// [`DisambiguationEngine::no_alias`] query would confirm.
+    pub fn no_alias_pairs(
+        &self,
+        func: &Function,
+        f: FuncId,
+        ptrs: &[Value],
+    ) -> Vec<(Value, Value)> {
+        let mut out = Vec::new();
+        for (i, &p1) in ptrs.iter().enumerate() {
+            for &p2 in &ptrs[i + 1..] {
+                if self.no_alias(func, f, p1, p2) {
+                    out.push((p1, p2));
+                }
+            }
+        }
+        out
     }
 
     /// Walks copies and nested `gep`s down to the root pointer, summing
@@ -931,39 +826,6 @@ mod tests {
         }
         assert_eq!(scc.solver_kind(), SolverKind::Scc);
         assert_eq!(wl.solver_kind(), SolverKind::Worklist);
-    }
-
-    #[test]
-    fn pair_queries_are_memoized_and_batched() {
-        let (m, scc, _) = engines(
-            r#"
-            void f(int* v, int N) {
-                for (int i = 0, j = N; i < j; i++, j--) v[i] = v[j];
-            }
-            "#,
-        );
-        let fid = m.function_by_name("f").unwrap();
-        let f = m.function(fid);
-        let mut ptrs = Vec::new();
-        for b in f.block_ids() {
-            for (_, d) in f.block_insts(b) {
-                match &d.kind {
-                    InstKind::Load { ptr } => ptrs.push(*ptr),
-                    InstKind::Store { ptr, .. } => ptrs.push(*ptr),
-                    _ => {}
-                }
-            }
-        }
-        assert_eq!(scc.cached_queries(), 0);
-        let pairs = scc.no_alias_pairs(f, fid, &ptrs);
-        assert!(!pairs.is_empty(), "v[i]/v[j] must be disambiguated");
-        let warmed = scc.cached_queries();
-        assert!(warmed > 0, "batch queries must warm the cache");
-        // Point queries over the same pairs add no new entries.
-        for (p1, p2) in &pairs {
-            assert!(scc.no_alias(f, fid, *p1, *p2));
-        }
-        assert_eq!(scc.cached_queries(), warmed);
     }
 
     #[test]
@@ -1066,5 +928,48 @@ mod tests {
             assert_eq!(scc.lt_set(fid, v), clone.lt_set(fid, v));
         }
         assert_eq!(scc.stats(), clone.stats());
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use sraa_synth::{csmith_generate, CsmithConfig};
+
+        proptest! {
+            /// On csmith programs with helper calls, under both
+            /// contextualities: the batch API returns exactly the in-order
+            /// filter of point queries over every pair, and point queries
+            /// are symmetric.
+            #[test]
+            fn batch_pairs_equal_point_queries(seed in 0u64..64, helpers in 1usize..3) {
+                let w = csmith_generate(CsmithConfig {
+                    seed,
+                    max_ptr_depth: 2,
+                    num_stmts: 18,
+                    helpers,
+                });
+                for cfg in [EngineConfig::default(), EngineConfig::default().with_summaries()] {
+                    let mut m = sraa_minic::compile(&w.source).unwrap();
+                    let engine = DisambiguationEngine::build(&mut m, cfg);
+                    for (fid, f) in m.functions() {
+                        let ptrs: Vec<Value> = f
+                            .value_ids()
+                            .filter(|&v| f.value_type(v).is_some_and(Type::is_ptr))
+                            .collect();
+                        let mut point = Vec::new();
+                        for (i, &p1) in ptrs.iter().enumerate() {
+                            for &p2 in &ptrs[i + 1..] {
+                                let verdict = engine.no_alias(f, fid, p1, p2);
+                                prop_assert_eq!(verdict, engine.no_alias(f, fid, p2, p1));
+                                if verdict {
+                                    point.push((p1, p2));
+                                }
+                            }
+                        }
+                        prop_assert_eq!(engine.no_alias_pairs(f, fid, &ptrs), point, "{}", w.name);
+                    }
+                }
+            }
+        }
     }
 }

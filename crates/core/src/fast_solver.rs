@@ -22,9 +22,10 @@
 //!    identity-of-∩ treatment of ⊤ lets a grounded external source break
 //!    the cycle. The fast solver classifies each component once and skips
 //!    the iteration entirely for union-only cycles.
-//! 3. **Shared set algebra.** The lattice operations live in
-//!    [`crate::lt_set`] — sorted, shareable `Arc<[u32]>` slices with a
-//!    symbolic ⊤ — and are byte-for-byte the ones the worklist solver
+//! 3. **Shared set algebra.** The lattice operations live in the one
+//!    store of [`crate::lattice`] — a flat sorted-set arena with a
+//!    symbolic ⊤, switching to bitset rows inside large cyclic
+//!    components — and are byte-for-byte the ones the worklist solver
 //!    uses. This solver contributes *scheduling only*, so both
 //!    strategies plug into the engine's
 //!    [`FixpointSolver`](crate::engine::FixpointSolver) trait and return
@@ -34,39 +35,16 @@
 //! measures the effect; `EXPERIMENTS.md` records the observed speed-ups.
 
 use crate::constraints::Constraint;
-use crate::lattice::{
-    ArcStore, ComponentCtx, DenseStore, LatticeBackend, LatticeStore, ResolvedBackend,
-};
+use crate::lattice::{ComponentCtx, DenseStore};
 use crate::solver::{Solution, SolveStats};
 
 /// Solves the constraint system over `num_vars` variables by SCC
-/// condensation, with the [`LatticeBackend::Auto`] storage. Produces the
-/// same fixpoint as [`solve`](crate::solve), in the same [`Solution`]
-/// representation; `stats.pops` counts the constraint evaluations spent
-/// (exactly one per constraint on acyclic systems).
+/// condensation. Produces the same fixpoint as [`solve`](crate::solve),
+/// in the same [`Solution`] representation; `stats.pops` counts the
+/// constraint evaluations spent (exactly one per constraint on acyclic
+/// systems).
 pub fn solve_fast(constraints: &[Constraint], num_vars: usize) -> Solution {
-    solve_fast_with(constraints, num_vars, LatticeBackend::Auto)
-}
-
-/// [`solve_fast`] with an explicit lattice storage backend. The backend
-/// never changes the result, the statistics, or the evaluation schedule —
-/// only the memory layout the fixpoint is computed in.
-pub fn solve_fast_with(
-    constraints: &[Constraint],
-    num_vars: usize,
-    lattice: LatticeBackend,
-) -> Solution {
-    match lattice.resolve(constraints.len()) {
-        ResolvedBackend::Arc => solve_fast_impl(constraints, num_vars, ArcStore::new(num_vars)),
-        ResolvedBackend::Dense => solve_fast_impl(constraints, num_vars, DenseStore::new(num_vars)),
-    }
-}
-
-fn solve_fast_impl<S: LatticeStore>(
-    constraints: &[Constraint],
-    num_vars: usize,
-    mut store: S,
-) -> Solution {
+    let mut store = DenseStore::new(num_vars);
     let mut stats =
         SolveStats { constraints: constraints.len(), variables: num_vars, ..Default::default() };
 
@@ -97,7 +75,7 @@ fn solve_fast_impl<S: LatticeStore>(
     let mut final_: Vec<bool> = defining.iter().map(|&d| d == NO_DEF).collect();
     const SWEEP_CAP: usize = 8;
     let mut pending: Vec<u32> = Vec::new();
-    let eval = |ci: u32, stats: &mut SolveStats, store: &mut S, final_: &mut Vec<bool>| {
+    let eval = |ci: u32, stats: &mut SolveStats, store: &mut DenseStore, final_: &mut Vec<bool>| {
         stats.pops += 1;
         stats.sccs += 1; // each peeled constraint is its own component
         let c = &constraints[ci as usize];
@@ -288,7 +266,6 @@ mod tests {
     use crate::constraints::Constraint as C;
     use crate::solver::solve;
     use crate::var_index::VarId;
-    use std::sync::Arc;
 
     fn v(i: u32) -> VarId {
         VarId::new(i)
@@ -391,19 +368,6 @@ mod tests {
             C::Union { x: v(3), elems: vec![], sources: vs(&[2]) },
         ];
         assert_agrees(&cs, 4);
-    }
-
-    #[test]
-    fn copy_shares_the_allocation() {
-        // Allocation sharing is an Arc-backend property, so pin the
-        // backend (Auto may resolve to dense via env or size).
-        let cs = vec![
-            C::Init { x: v(0) },
-            C::Union { x: v(1), elems: vs(&[0]), sources: vs(&[0]) },
-            C::Copy { x: v(2), source: v(1) },
-        ];
-        let fast = solve_fast_with(&cs, 3, LatticeBackend::Arc);
-        assert!(Arc::ptr_eq(fast.set_arc(v(1)), fast.set_arc(v(2))));
     }
 
     #[test]

@@ -1,48 +1,36 @@
-//! Pluggable lattice storage — the `LatticeStore` abstraction both
-//! fixpoint solvers propagate through.
+//! The lattice store both fixpoint solvers propagate through.
 //!
 //! The solvers in [`crate::solver`] and [`crate::fast_solver`] decide
-//! *scheduling* only (FIFO worklist vs SCC topological order). Everything
-//! about how `LT` sets are *represented* lives here, behind one small
-//! contract: a store holds the current set of every variable, re-evaluates
-//! one constraint at a time (`LatticeStore::update`) and reports whether
-//! the defined variable's set actually changed ([`ChangeResult`]), so a
-//! solver re-enqueues successors only on observed change. Two backends
-//! implement the contract:
+//! *scheduling* only (FIFO worklist vs SCC topological order). How `LT`
+//! sets are *represented* lives here, in one store, `DenseStore`: it
+//! holds the current set of every variable, re-evaluates one constraint
+//! at a time (`DenseStore::update`) and reports whether the defined
+//! variable's set actually changed ([`ChangeResult`]), so a solver
+//! re-enqueues successors only on observed change.
 //!
-//! * `ArcStore` — the historical representation: one `Arc<[u32]>` per
-//!   variable ([`LtSet`]). `Copy` constraints share allocations and
-//!   solutions are cheap to clone, but every `Union` evaluation allocates
-//!   a fresh slice, which dominates solve time on large systems.
-//! * `DenseStore` — a flat CSR-style arena: all explicit sets live in
-//!   one contiguous `Vec<u32>` addressed by per-variable `(offset, len)`.
-//!   Because the lattice only descends (`new ⊆ old`, paper Theorem 3.7),
-//!   a re-evaluation can almost always shrink a set *in place*; fresh
-//!   arena space is appended only on a variable's first explicit write,
-//!   and the dead words shrinks leave behind are compacted away
-//!   mid-solve once they dominate the arena. The straight-line
-//!   `Union`/`Inter` evaluations run over the vectorizable sorted-set
-//!   kernels of `crate::setops` (block-skip intersection, run-copying
-//!   merge union); inside large cyclic components the store switches to
-//!   fixed-width bitset rows ([`sraa_ir::BitMatrix`]) over the
-//!   component's candidate element universe, turning the hot evaluations
-//!   into word-parallel operations. ⊤ stays symbolic in both backends.
+//! The store is a flat CSR-style arena: all explicit sets live in one
+//! contiguous `Vec<u32>` addressed by per-variable `(offset, len)`, and
+//! ⊤ stays symbolic (an offset sentinel). Because the lattice only
+//! descends (`new ⊆ old`, paper Theorem 3.7), a re-evaluation can almost
+//! always shrink a set *in place*; fresh arena space is appended only on
+//! a variable's first explicit write, and the dead words shrinks leave
+//! behind are compacted away mid-solve once they dominate the arena. The
+//! straight-line `Union`/`Inter` evaluations run over the vectorizable
+//! sorted-set kernels of `crate::setops` (block-skip intersection,
+//! run-copying merge union); inside large cyclic components the store
+//! switches to fixed-width bitset rows ([`sraa_ir::BitMatrix`]) over the
+//! component's candidate element universe, turning the hot evaluations
+//! into word-parallel operations with the exact schedule of the generic
+//! per-constraint iteration.
 //!
-//! Both backends compute the identical greatest fixpoint with the
-//! identical evaluation schedule — `stats.pops`, frozen-⊤ counts and all
-//! printed output are byte-for-byte the same (differentially tested in
-//! `tests/solvers.rs` and the proptests below); the backend is purely a
-//! memory-layout/performance knob, selected by [`LatticeBackend`]
-//! (`--lattice {auto,arc,dense}` on the CLI, `SRAA_LATTICE` in the
-//! environment).
+//! The tests below check both solvers against a naive Kleene-iteration
+//! oracle that shares no code with this module or `crate::setops`.
 
 use crate::constraints::Constraint;
-use crate::lt_set::{decreases, eval, LtSet};
 use crate::setops::{intersect_in_place, union_merge};
 use crate::solver::{Solution, SolveStats};
 use sraa_ir::BitMatrix;
 use std::collections::VecDeque;
-use std::sync::OnceLock;
 
 /// Outcome of re-evaluating one constraint: did the defined variable's
 /// set change? Solvers re-enqueue dependents only on `Changed`.
@@ -62,236 +50,10 @@ impl ChangeResult {
     }
 }
 
-/// Which lattice storage the solvers use. A pure performance knob: both
-/// backends produce identical solutions, statistics and printed output.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LatticeBackend {
-    /// Measured default: [`LatticeBackend::Dense`] for systems of at
-    /// least [`dense_min_constraints`] constraints, [`LatticeBackend::Arc`]
-    /// below (tiny systems fit in cache either way and the shared-`Arc`
-    /// solutions are cheaper to clone). The crossover is self-calibrated
-    /// once per process from micro-probes of both backends; pin it with
-    /// `SRAA_DENSE_MIN=N`, or bypass the heuristic entirely via the
-    /// `SRAA_LATTICE={arc,dense}` environment variable.
-    #[default]
-    Auto,
-    /// Shared `Arc<[u32]>` slices, one per variable.
-    Arc,
-    /// Flat CSR arena + bitset rows inside large cyclic components.
-    Dense,
-}
-
-/// Fallback `Auto` crossover when calibration is unavailable or
-/// inconclusive.
-///
-/// Measured on the `scalability` suite (best-of-3 per size, see
-/// `BENCH_baseline.json`): the dense arena wins clearly from a few
-/// hundred constraints up (no per-`Union` allocation), while below that
-/// the two are within noise of each other and the shared-slice solution
-/// clones cheaper. 256 sits comfortably inside the indifference band.
-/// The live threshold is [`dense_min_constraints`], which measures the
-/// actual arc/dense crossover on this machine.
-pub const DENSE_MIN_CONSTRAINTS: usize = 256;
-
-/// The constraint count from which `Auto` picks the `Dense` backend,
-/// self-calibrated once per process.
-///
-/// Resolution order:
-/// 1. `SRAA_DENSE_MIN=N` in the environment pins the threshold exactly
-///    (CI's perf gate sets `256` so allocation-count gate rows stay
-///    machine-independent).
-/// 2. Otherwise a one-shot micro-calibration solves the same synthetic
-///    chain-with-φs system at a ladder of sizes with *both* explicit
-///    backends (explicit backends never consult this threshold, so the
-///    probe cannot re-enter the `OnceLock`) and picks the smallest probe
-///    size from which `Dense` never loses again (`pick_crossover`).
-/// 3. If `Arc` wins every probe, the measured crossover is above the
-///    ladder and the conservative [`DENSE_MIN_CONSTRAINTS`] fallback is
-///    used.
-pub fn dense_min_constraints() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        if let Some(n) =
-            std::env::var("SRAA_DENSE_MIN").ok().and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            return n;
-        }
-        calibrate_crossover().unwrap_or(DENSE_MIN_CONSTRAINTS)
-    })
-}
-
-/// Probe ladder for [`calibrate_crossover`]: covers the historical
-/// indifference band on both sides.
-const CALIBRATION_PROBES: [usize; 5] = [64, 128, 256, 512, 1024];
-
-/// Times both explicit backends on a synthetic system per probe size and
-/// picks the crossover. Total cost is a few hundred microseconds, paid at
-/// most once per process (and only when `Auto` actually resolves without
-/// an environment pin).
-fn calibrate_crossover() -> Option<usize> {
-    let mut rows = Vec::with_capacity(CALIBRATION_PROBES.len());
-    for &size in &CALIBRATION_PROBES {
-        let (cs, n) = calibration_system(size);
-        let arc_ns = best_of(3, || {
-            crate::fast_solver::solve_fast_with(&cs, n, LatticeBackend::Arc);
-        });
-        let dense_ns = best_of(3, || {
-            crate::fast_solver::solve_fast_with(&cs, n, LatticeBackend::Dense);
-        });
-        rows.push((size, arc_ns, dense_ns));
-    }
-    pick_crossover(&rows)
-}
-
-/// The probe workload: `Union` chains re-grounded every 64 constraints
-/// (keeping sets bounded, as e-SSA live ranges are) with a φ-style
-/// `Inter` every 8th constraint — the shape Figure-7 generation produces
-/// for straight-line code with joins.
-fn calibration_system(num_constraints: usize) -> (Vec<Constraint>, usize) {
-    use crate::var_index::VarId;
-    let mut cs = Vec::with_capacity(num_constraints);
-    cs.push(Constraint::Init { x: VarId::new(0) });
-    for i in 1..num_constraints as u32 {
-        cs.push(if i % 64 == 0 {
-            Constraint::Init { x: VarId::new(i) }
-        } else if i % 8 == 0 && i % 64 >= 2 {
-            Constraint::Inter {
-                x: VarId::new(i),
-                sources: vec![VarId::new(i - 1), VarId::new(i - 2)],
-            }
-        } else {
-            Constraint::Union {
-                x: VarId::new(i),
-                elems: vec![VarId::new(i - 1)],
-                sources: vec![VarId::new(i - 1)],
-            }
-        });
-    }
-    (cs, num_constraints)
-}
-
-fn best_of(reps: usize, mut f: impl FnMut()) -> u64 {
-    (0..reps)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            f();
-            t.elapsed().as_nanos() as u64
-        })
-        .min()
-        .unwrap_or(u64::MAX)
-}
-
-/// Pure crossover selection over `(size, arc_ns, dense_ns)` probe rows
-/// (sorted ascending by size): the smallest probed size from which
-/// `Dense` never loses again. `None` when `Arc` wins the largest probe —
-/// the crossover, if any, lies beyond the ladder.
-pub(crate) fn pick_crossover(probes: &[(usize, u64, u64)]) -> Option<usize> {
-    let mut ans = None;
-    for &(size, arc_ns, dense_ns) in probes.iter().rev() {
-        if dense_ns <= arc_ns {
-            ans = Some(size);
-        } else {
-            break;
-        }
-    }
-    ans
-}
-
-/// The backend `Auto` resolved to, after consulting `SRAA_LATTICE` and
-/// the size heuristic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ResolvedBackend {
-    Arc,
-    Dense,
-}
-
-fn env_override() -> Option<LatticeBackend> {
-    // Cached: `resolve` runs once per solve and summary computation runs
-    // one solve per SCC of the call graph.
-    static CACHE: OnceLock<Option<LatticeBackend>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("SRAA_LATTICE").ok().and_then(|s| match LatticeBackend::parse(&s) {
-            Some(LatticeBackend::Auto) | None => None, // unknown values fall back to the heuristic
-            some => some,
-        })
-    })
-}
-
-impl LatticeBackend {
-    /// Every backend, in presentation order.
-    pub const ALL: [LatticeBackend; 3] =
-        [LatticeBackend::Auto, LatticeBackend::Arc, LatticeBackend::Dense];
-
-    /// The two concrete representations (what differential tests iterate).
-    pub const CONCRETE: [LatticeBackend; 2] = [LatticeBackend::Arc, LatticeBackend::Dense];
-
-    /// Parses a CLI-style name (`"auto"` / `"arc"` / `"dense"`).
-    pub fn parse(s: &str) -> Option<LatticeBackend> {
-        match s {
-            "auto" => Some(LatticeBackend::Auto),
-            "arc" => Some(LatticeBackend::Arc),
-            "dense" => Some(LatticeBackend::Dense),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LatticeBackend::Auto => "auto",
-            LatticeBackend::Arc => "arc",
-            LatticeBackend::Dense => "dense",
-        }
-    }
-
-    /// Resolves `Auto` against the environment override and the measured
-    /// size threshold.
-    pub(crate) fn resolve(self, num_constraints: usize) -> ResolvedBackend {
-        match self {
-            LatticeBackend::Arc => ResolvedBackend::Arc,
-            LatticeBackend::Dense => ResolvedBackend::Dense,
-            LatticeBackend::Auto => match env_override() {
-                Some(LatticeBackend::Arc) => ResolvedBackend::Arc,
-                Some(LatticeBackend::Dense) => ResolvedBackend::Dense,
-                _ if num_constraints >= dense_min_constraints() => ResolvedBackend::Dense,
-                _ => ResolvedBackend::Arc,
-            },
-        }
-    }
-}
-
-impl std::fmt::Display for LatticeBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Storage of the per-variable `LT` sets during a solve. Implementations
-/// own the representation; solvers own the schedule.
-pub(crate) trait LatticeStore {
-    /// Re-evaluates `c`'s right-hand side over the current sets and
-    /// stores the result for `c.defined()`, reporting whether it changed.
-    fn update(&mut self, c: &Constraint) -> ChangeResult;
-
-    /// Chaotic iteration over one cyclic component, to the local greatest
-    /// fixpoint. The default is the representation-agnostic worklist
-    /// ([`iterate_component`]); backends may substitute an equivalent
-    /// accelerated evaluation, but must preserve the exact schedule (the
-    /// `pops` counter is part of the printed output).
-    fn solve_component(&mut self, cx: &ComponentCtx<'_>, stats: &mut SolveStats) {
-        iterate_component(self, cx, stats);
-    }
-
-    /// Final step: demote residual ⊤ to ∅ (the paper's freeze) and
-    /// package the [`Solution`].
-    fn freeze(self, stats: SolveStats) -> Solution
-    where
-        Self: Sized;
-}
-
 /// One cyclic component of the constraint dependency graph, with its
 /// member-local dependents in CSR form. Built once per component by the
-/// SCC solver and interpreted by whichever store solves it.
+/// SCC solver and interpreted by [`iterate_component`] or the store's
+/// bitset path.
 pub(crate) struct ComponentCtx<'a> {
     /// The full constraint system.
     pub constraints: &'a [Constraint],
@@ -354,12 +116,12 @@ impl<'a> ComponentCtx<'a> {
     }
 }
 
-/// The representation-agnostic component iteration: a FIFO worklist over
-/// local member indices, seeded in emission order, re-enqueueing only the
-/// dependents of constraints whose set changed. Index-based scratch
-/// throughout — no hashing on the solver's hottest path.
-pub(crate) fn iterate_component<S: LatticeStore + ?Sized>(
-    store: &mut S,
+/// The generic component iteration: a FIFO worklist over local member
+/// indices, seeded in emission order, re-enqueueing only the dependents
+/// of constraints whose set changed. Index-based scratch throughout — no
+/// hashing on the solver's hottest path.
+pub(crate) fn iterate_component(
+    store: &mut DenseStore,
     cx: &ComponentCtx<'_>,
     stats: &mut SolveStats,
 ) {
@@ -380,52 +142,10 @@ pub(crate) fn iterate_component<S: LatticeStore + ?Sized>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Arc backend
-// ---------------------------------------------------------------------------
-
-/// The shared-slice backend: the historical `Vec<LtSet>` with the
-/// [`eval`] transfer functions of [`crate::lt_set`].
-pub(crate) struct ArcStore {
-    sets: Vec<LtSet>,
-}
-
-impl ArcStore {
-    pub(crate) fn new(num_vars: usize) -> Self {
-        Self { sets: vec![LtSet::Top; num_vars] }
-    }
-}
-
-impl LatticeStore for ArcStore {
-    fn update(&mut self, c: &Constraint) -> ChangeResult {
-        let x = c.defined().index();
-        let new = eval(c, &self.sets);
-        if new != self.sets[x] {
-            debug_assert!(
-                decreases(&self.sets[x], &new),
-                "LT(v{x}) must only shrink: {:?} -> {new:?}",
-                self.sets[x]
-            );
-            self.sets[x] = new;
-            ChangeResult::Changed
-        } else {
-            ChangeResult::Unchanged
-        }
-    }
-
-    fn freeze(self, stats: SolveStats) -> Solution {
-        Solution::freeze(self.sets, stats)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dense backend
-// ---------------------------------------------------------------------------
-
 /// Sentinel offset marking a variable still at symbolic ⊤.
 const TOP_OFF: u32 = u32::MAX;
 
-/// Inside a cyclic component of at least this many constraints the dense
+/// Inside a cyclic component of at least this many constraints the
 /// store evaluates over bitset rows instead of sorted slices. Components
 /// below the threshold are too small to amortise building the element
 /// universe and the row matrices.
@@ -441,7 +161,7 @@ const BITSET_BIT_BUDGET: usize = 1 << 25;
 /// would cost more than the locality it buys.
 const COMPACT_MIN_GARBAGE: usize = 4096;
 
-/// The flat backend: every explicit set is a `(offset, len)` window into
+/// The lattice store: every explicit set is a `(offset, len)` window into
 /// one contiguous arena. First writes append; later writes shrink in
 /// place (the lattice only descends), leaving dead words behind the
 /// shrunk window — tracked in `garbage` and reclaimed mid-solve by
@@ -489,7 +209,7 @@ impl DenseStore {
             ChangeResult::Unchanged
         } else {
             // Cannot happen under descending evaluation, but keep the
-            // store total: mirror what the Arc backend would do.
+            // store total.
             self.garbage += self.len[x] as usize;
             self.off[x] = TOP_OFF;
             self.len[x] = 0;
@@ -809,10 +529,11 @@ impl DenseStore {
             self.commit_changed(x);
         }
     }
-}
 
-impl LatticeStore for DenseStore {
-    fn update(&mut self, c: &Constraint) -> ChangeResult {
+    /// Re-evaluates `c`'s right-hand side over the current sets (the
+    /// paper's Figure 7 transfer functions) and stores the result for
+    /// `c.defined()`, reporting whether it changed.
+    pub(crate) fn update(&mut self, c: &Constraint) -> ChangeResult {
         let x = c.defined().index();
         match c {
             Constraint::Init { .. } => {
@@ -892,7 +613,11 @@ impl LatticeStore for DenseStore {
         }
     }
 
-    fn solve_component(&mut self, cx: &ComponentCtx<'_>, stats: &mut SolveStats) {
+    /// Chaotic iteration over one cyclic component, to the local greatest
+    /// fixpoint: word-parallel bitset rows for large components, the
+    /// generic [`iterate_component`] otherwise. Both keep the same
+    /// schedule (the `pops` counter is part of the printed output).
+    pub(crate) fn solve_component(&mut self, cx: &ComponentCtx<'_>, stats: &mut SolveStats) {
         if cx.comp.len() >= BITSET_MIN_MEMBERS {
             self.solve_component_bitset(cx, stats);
         } else {
@@ -900,7 +625,9 @@ impl LatticeStore for DenseStore {
         }
     }
 
-    fn freeze(self, mut stats: SolveStats) -> Solution {
+    /// Final step: demote residual ⊤ to ∅ (the paper's freeze, recorded
+    /// in `stats.frozen_tops`) and package the compacted [`Solution`].
+    pub(crate) fn freeze(self, mut stats: SolveStats) -> Solution {
         let n = self.off.len();
         let mut frozen = Vec::new();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -926,6 +653,9 @@ impl LatticeStore for DenseStore {
 mod tests {
     use super::*;
     use crate::constraints::Constraint as C;
+    use crate::fast_solver::solve_fast;
+    use crate::solver::solve;
+    use crate::test_systems::{reference_eval, reference_gfp};
     use crate::var_index::VarId;
 
     fn v(i: u32) -> VarId {
@@ -934,27 +664,6 @@ mod tests {
 
     fn vs(ids: &[u32]) -> Vec<VarId> {
         ids.iter().copied().map(VarId::new).collect()
-    }
-
-    #[test]
-    fn backend_parses_cli_names() {
-        assert_eq!(LatticeBackend::parse("auto"), Some(LatticeBackend::Auto));
-        assert_eq!(LatticeBackend::parse("arc"), Some(LatticeBackend::Arc));
-        assert_eq!(LatticeBackend::parse("dense"), Some(LatticeBackend::Dense));
-        assert_eq!(LatticeBackend::parse("sparse"), None);
-        assert_eq!(LatticeBackend::default(), LatticeBackend::Auto);
-        for b in LatticeBackend::ALL {
-            assert_eq!(LatticeBackend::parse(b.as_str()), Some(b));
-            assert_eq!(format!("{b}"), b.as_str());
-        }
-    }
-
-    #[test]
-    fn explicit_backends_resolve_to_themselves() {
-        for n in [0, 10, 1_000_000] {
-            assert_eq!(LatticeBackend::Arc.resolve(n), ResolvedBackend::Arc);
-            assert_eq!(LatticeBackend::Dense.resolve(n), ResolvedBackend::Dense);
-        }
     }
 
     #[test]
@@ -1028,44 +737,7 @@ mod tests {
     }
 
     #[test]
-    fn pick_crossover_wants_a_dense_winning_suffix() {
-        // Dense wins from 256 up: the crossover is the first size of the
-        // winning suffix.
-        assert_eq!(
-            pick_crossover(&[(64, 10, 20), (128, 20, 25), (256, 40, 30), (512, 80, 45)]),
-            Some(256)
-        );
-        // A noisy dense win below an arc win does not count: the suffix
-        // must be unbroken.
-        assert_eq!(
-            pick_crossover(&[(64, 10, 8), (128, 20, 25), (256, 40, 30), (512, 80, 45)]),
-            Some(256)
-        );
-        // Dense everywhere: the smallest probe.
-        assert_eq!(pick_crossover(&[(64, 10, 9), (128, 20, 15)]), Some(64));
-        // Arc everywhere (or at the top): no measured crossover.
-        assert_eq!(pick_crossover(&[(64, 10, 20), (128, 20, 45)]), None);
-        assert_eq!(pick_crossover(&[]), None);
-    }
-
-    #[test]
-    fn calibration_probes_solve_and_threshold_is_positive() {
-        // The probe systems must be solvable by both backends with equal
-        // results (they feed timing, but must not diverge semantically).
-        for &size in &CALIBRATION_PROBES {
-            let (cs, n) = calibration_system(size);
-            let a = crate::fast_solver::solve_fast_with(&cs, n, LatticeBackend::Arc);
-            let d = crate::fast_solver::solve_fast_with(&cs, n, LatticeBackend::Dense);
-            assert_eq!(a.stats, d.stats, "probe size {size}");
-        }
-        // Whatever the machine measures (or SRAA_DENSE_MIN pins), the
-        // resolved threshold is a usable positive count.
-        assert!(dense_min_constraints() > 0);
-        assert_eq!(dense_min_constraints(), dense_min_constraints(), "cached per process");
-    }
-
-    #[test]
-    fn dense_update_matches_eval_semantics() {
+    fn dense_update_matches_reference_transfer() {
         // The example 3.4 kernel exercised constraint-by-constraint.
         let cs = [
             C::Init { x: v(0) },
@@ -1074,18 +746,20 @@ mod tests {
             C::Union { x: v(3), elems: vs(&[2]), sources: vs(&[2]) },
         ];
         let mut dense = DenseStore::new(4);
-        let mut arc = ArcStore::new(4);
+        let mut naive = vec![None; 4];
         // Chaotic order, including re-evaluations.
         for &i in &[0usize, 1, 2, 3, 2, 3, 2, 1, 0, 3, 2] {
-            let d = dense.update(&cs[i]);
-            let a = arc.update(&cs[i]);
-            assert_eq!(d, a, "change results diverge at constraint {i}");
+            let x = cs[i].defined().index();
+            let new = reference_eval(&cs[i], &naive);
+            let changed = new != naive[x];
+            naive[x] = new;
+            assert_eq!(dense.update(&cs[i]).changed(), changed, "diverged at constraint {i}");
         }
-        let ds = dense.freeze(SolveStats::default());
-        let as_ = arc.freeze(SolveStats::default());
-        for x in 0..4u32 {
-            assert_eq!(ds.lt_set(v(x)), as_.lt_set(v(x)), "LT({x})");
-            assert_eq!(ds.was_top(v(x)), as_.was_top(v(x)));
+        let sol = dense.freeze(SolveStats::default());
+        for (x, set) in naive.iter().enumerate() {
+            let x = VarId::from_index(x);
+            assert_eq!(sol.lt_set(x), set.iter().flatten().copied().collect::<Vec<_>>());
+            assert_eq!(sol.was_top(x), set.is_none(), "frozen({x})");
         }
     }
 
@@ -1099,52 +773,41 @@ mod tests {
         assert!(acc.is_empty());
     }
 
+    /// Per variable: the solved `LT` set and whether it was frozen —
+    /// the shape of [`reference_gfp`].
+    fn snapshot(sol: &Solution) -> Vec<(Vec<u32>, bool)> {
+        (0..sol.num_vars())
+            .map(VarId::from_index)
+            .map(|x| (sol.lt_set(x).to_vec(), sol.was_top(x)))
+            .collect()
+    }
+
     mod properties {
         use super::*;
-        use crate::fast_solver::solve_fast_with;
-        use crate::solver::solve_with;
         use crate::test_systems::{grounded_systems, systems};
         use proptest::prelude::*;
 
         proptest! {
-            /// The dense backend computes the identical solution — sets,
-            /// frozen ⊤s, and the full deterministic statistics (pops
-            /// included: the schedules must match, not just the limits) —
-            /// for both solver strategies.
+            /// Both solvers compute the naive oracle's greatest fixpoint
+            /// — sets and frozen ⊤s — on arbitrary systems (undefined
+            /// variables included) and on fully grounded ones (the shape
+            /// real constraint generation produces).
             #[test]
-            fn dense_equals_arc((cs, n) in systems()) {
-                for (a, d) in [
-                    (solve_with(&cs, n, LatticeBackend::Arc),
-                     solve_with(&cs, n, LatticeBackend::Dense)),
-                    (solve_fast_with(&cs, n, LatticeBackend::Arc),
-                     solve_fast_with(&cs, n, LatticeBackend::Dense)),
-                ] {
-                    prop_assert_eq!(&a.stats, &d.stats, "stats diverge (pops/sccs/frozen)");
-                    for x in 0..n {
-                        let x = VarId::from_index(x);
-                        prop_assert_eq!(a.lt_set(x), d.lt_set(x), "LT({})", x);
-                        prop_assert_eq!(a.was_top(x), d.was_top(x), "frozen({})", x);
-                    }
-                }
-            }
-
-            /// Same on fully grounded systems (the shape real constraint
-            /// generation produces).
-            #[test]
-            fn dense_equals_arc_grounded((cs, n) in grounded_systems()) {
-                let a = solve_fast_with(&cs, n, LatticeBackend::Arc);
-                let d = solve_fast_with(&cs, n, LatticeBackend::Dense);
-                prop_assert_eq!(&a.stats, &d.stats);
-                for x in 0..n {
-                    let x = VarId::from_index(x);
-                    prop_assert_eq!(a.lt_set(x), d.lt_set(x), "LT({})", x);
+            fn solvers_match_the_reference_fixpoint(
+                arbitrary in systems(),
+                grounded in grounded_systems()
+            ) {
+                for (cs, n) in [arbitrary, grounded] {
+                    let reference = reference_gfp(&cs, n);
+                    prop_assert_eq!(&snapshot(&solve(&cs, n)), &reference, "worklist");
+                    prop_assert_eq!(&snapshot(&solve_fast(&cs, n)), &reference, "scc");
                 }
             }
         }
     }
 
     /// A component big enough to cross `BITSET_MIN_MEMBERS`, so the
-    /// word-parallel path is exercised against the Arc oracle: a ring of
+    /// word-parallel path is exercised against the oracle: a ring of
     /// φ-style `Inter`s threaded through `Union`s, grounded at one entry.
     #[test]
     fn large_cycle_uses_bitset_rows_and_agrees() {
@@ -1158,15 +821,28 @@ mod tests {
             cs.push(C::Union { x: v(cur + 1), elems: vs(&[cur]), sources: vs(&[cur]) });
         }
         let n = (1 + 2 * k) as usize;
-        let a = crate::solver::solve_with(&cs, n, LatticeBackend::Arc);
-        let d = crate::fast_solver::solve_fast_with(&cs, n, LatticeBackend::Dense);
-        let d2 = crate::fast_solver::solve_fast_with(&cs, n, LatticeBackend::Arc);
-        assert!(d.stats.cyclic_sccs >= 1, "the ring must condense into a cyclic component");
-        assert_eq!(d.stats, d2.stats, "bitset path must keep the exact schedule");
-        for x in 0..n {
-            let x = VarId::from_index(x);
-            assert_eq!(a.lt_set(x), d.lt_set(x), "LT({x})");
-            assert_eq!(a.was_top(x), d.was_top(x));
-        }
+        let reference = reference_gfp(&cs, n);
+        let fast = solve_fast(&cs, n);
+        assert!(fast.stats.cyclic_sccs >= 1, "the ring must condense into a cyclic component");
+        assert_eq!(snapshot(&fast), reference, "scc");
+        assert_eq!(snapshot(&solve(&cs, n)), reference, "worklist");
+
+        // The bitset path keeps the exact schedule of the generic
+        // iteration over the same component (constraint `i` defines v`i`).
+        let comp: Vec<u32> = (1..cs.len() as u32).collect();
+        let defining: Vec<u32> = (0..n as u32).collect();
+        let cx = ComponentCtx::build(&cs, &comp, &defining);
+        let run = |bitset: bool| {
+            let mut store = DenseStore::new(n);
+            store.update(&cs[0]);
+            let mut stats = SolveStats::default();
+            if bitset {
+                store.solve_component_bitset(&cx, &mut stats);
+            } else {
+                iterate_component(&mut store, &cx, &mut stats);
+            }
+            (stats.pops, snapshot(&store.freeze(SolveStats::default())))
+        };
+        assert_eq!(run(true), run(false), "bitset path must keep the exact schedule");
     }
 }

@@ -24,13 +24,13 @@
 //!                                             FixpointSolver (SolverKind)   │
 //!                                  ┌─────────────────┬──────────────────────┘
 //!                                  ▼                 ▼
-//!                           WorklistSolver       SccSolver            one shared LtSet
-//!                           (paper §3.4)         (§6 answer)          representation
+//!                           WorklistSolver       SccSolver            one lattice store
+//!                           (paper §3.4)         (§6 answer)          (flat arena + bitsets)
 //!                                  └────────┬────────┘
 //!                                           ▼
-//!                                      ┌──────────┐   memoized pair cache, batch API
-//!                                      │ Solution │──▶ queries: less_than · lt_set ·
-//!                                      └──────────┘            no_alias · histograms
+//!                                      ┌──────────┐   point and batch queries
+//!                                      │ Solution │──▶ less_than · lt_set ·
+//!                                      └──────────┘   no_alias · histograms
 //! ```
 //!
 //! 1. **e-SSA conversion** ([`sraa_essa`]) splits live ranges at
@@ -45,15 +45,16 @@
 //!    from ⊤, behind the pluggable [`FixpointSolver`] trait: the paper's
 //!    FIFO worklist ([`solver`], [`SolverKind::Worklist`]) or the
 //!    SCC-condensation solver ([`fast_solver`], [`SolverKind::Scc`] — the
-//!    default). Both propagate change-by-change through a pluggable
-//!    lattice store ([`lattice`], [`LatticeBackend`]): shared `Arc<[u32]>`
-//!    slices or a flat CSR/bitset arena. Every combination returns the
-//!    same [`Solution`]; differential tests prove them interchangeable.
+//!    default). Both propagate change-by-change through one lattice
+//!    store ([`lattice`]): a flat CSR arena with a symbolic ⊤, switching
+//!    to bitset rows inside large cyclic components. Both return the
+//!    same [`Solution`]; differential tests prove them interchangeable,
+//!    and property tests check both against a naive Kleene iteration.
 //! 5. **Disambiguation** (paper Definition 3.11):
 //!    [`no_alias`](DisambiguationEngine::no_alias) — `p1 ∈ LT(p2)` ∨
 //!    `p2 ∈ LT(p1)` (criterion 1), or both derived from one base with
-//!    strictly ordered variable offsets (criterion 2) — served from a
-//!    memoized per-function pair cache with a batch all-pairs API.
+//!    strictly ordered variable offsets (criterion 2) — computed directly
+//!    from the solved relation, with a batch all-pairs API.
 //!
 //! Consumers (the `sraa-alias` backends, `sraa-pentagon`, the `sraa-opt`
 //! passes, `sraa-pdg`, the `sraa` CLI) hold an engine — usually behind an
@@ -95,7 +96,6 @@ pub mod engine;
 pub mod fast_solver;
 pub mod jobs;
 pub mod lattice;
-pub mod lt_set;
 pub mod ondemand;
 pub mod persist;
 pub(crate) mod setops;
@@ -112,13 +112,12 @@ pub use engine::{
     Contextuality, DisambiguationEngine, EngineConfig, FixpointSolver, SccSolver, SolverKind,
     WorklistSolver,
 };
-pub use fast_solver::{solve_fast, solve_fast_with};
+pub use fast_solver::solve_fast;
 pub use jobs::Jobs;
-pub use lattice::{ChangeResult, LatticeBackend};
-pub use lt_set::LtSet;
+pub use lattice::ChangeResult;
 pub use ondemand::OnDemandProver;
 pub use persist::{PersistError, SummaryCache, SummaryKeys, FORMAT_VERSION};
-pub use solver::{solve, solve_with, Solution, SolveStats};
+pub use solver::{solve, Solution, SolveStats};
 pub use store::{SharedSummaryStore, StoreOutcome};
 pub use summary::{CacheOutcome, FunctionSummary, ModuleSummaries, SummaryStats};
 pub use var_index::{VarId, VarIndex};

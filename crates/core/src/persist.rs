@@ -420,7 +420,6 @@ mod tests {
             GenConfig::default(),
             &index,
             SolverKind::Scc.solver(),
-            crate::lattice::LatticeBackend::Auto,
             crate::jobs::Jobs::default(),
         );
         let keys = SummaryKeys::compute(&m);

@@ -6,9 +6,11 @@
 //! decreases monotonically until a fixed point — the greatest fixpoint
 //! over the lattice `PV = ⟨V, ∩, ⊥ = ∅, ⊤ = V, ⊆⟩` (paper Theorem 3.7).
 //! Rather than materialising `V` per variable (quadratic memory), ⊤ is
-//! represented symbolically ([`LtSet::Top`]); the set algebra itself lives
-//! in [`crate::lt_set`] and is shared verbatim with the SCC solver
-//! ([`crate::fast_solver`]) — the two differ only in scheduling.
+//! represented symbolically; the sets and the transfer functions live in
+//! the one lattice store of [`crate::lattice`], shared verbatim with the
+//! SCC solver ([`crate::fast_solver`]) — the two differ only in
+//! scheduling. This solver is kept as the paper-faithful reference the
+//! SCC solver is differentially tested against.
 //!
 //! The solver counts worklist pops: the paper reports that, in practice,
 //! each constraint is visited ≈ 2.12 times before the fixpoint, which is
@@ -17,24 +19,24 @@
 //!
 //! Variables whose set is still ⊤ at the fixpoint can only belong to code
 //! unreachable from any grounded definition (e.g. dead functions);
-//! the freeze step in `Solution::freeze` conservatively demotes them to
-//! ∅ so that queries never rely on vacuous facts.
+//! the store's freeze step conservatively demotes them to ∅ so that
+//! queries never rely on vacuous facts ([`Solution::was_top`]).
 
 use crate::constraints::Constraint;
-use crate::lattice::{ArcStore, DenseStore, LatticeBackend, LatticeStore, ResolvedBackend};
-use crate::lt_set::{empty_arc, LtSet};
+use crate::lattice::DenseStore;
 use crate::var_index::VarId;
-use std::sync::Arc;
 
 /// Counters for the scalability study (paper §4.2 and Figure 11), shared
 /// by both solver strategies. The worklist solver leaves the SCC fields
 /// at zero; the per-phase and cache fields are filled by the
 /// [`DisambiguationEngine`](crate::DisambiguationEngine) after the solve.
 ///
-/// Equality deliberately **ignores the two wall-clock fields**
-/// (`summary_build_ns`, `final_solve_ns`): every other counter is
-/// deterministic for a given input, and the differential tests rely on
-/// comparing stats across runs and solver strategies.
+/// Equality deliberately **ignores the measurement fields**: the two
+/// wall-clock fields (`summary_build_ns`, `final_solve_ns`) and the two
+/// harness-filled memory fields (`alloc_count`, `peak_rss_kb`). Every
+/// other counter is deterministic for a given input, and the
+/// differential tests rely on comparing stats across runs and solver
+/// strategies.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolveStats {
     /// Number of constraints solved.
@@ -141,53 +143,24 @@ impl SolveStats {
     }
 }
 
-/// The solved less-than relation: one sorted, shareable slice per
-/// variable. Produced by either strategy ([`solve`],
-/// [`solve_fast`](crate::fast_solver::solve_fast)) — the representation,
-/// query API and iteration order are identical, so downstream consumers
-/// cannot tell the strategies apart (the differential tests insist).
+/// The solved less-than relation: one contiguous CSR in which
+/// `data[offsets[x]..offsets[x+1]]` is the sorted `LT(x)`. Produced by
+/// either strategy ([`solve`], [`solve_fast`](crate::fast_solver::solve_fast))
+/// — the representation, query API and iteration order are identical, so
+/// downstream consumers cannot tell the strategies apart (the
+/// differential tests insist).
 #[derive(Clone, Debug)]
 pub struct Solution {
-    sets: Sets,
+    offsets: Vec<u32>,
+    data: Vec<u32>,
     /// Sorted raw ids that were still ⊤ pre-freeze (dead/ungrounded code).
     frozen: Box<[u32]>,
     /// Solver statistics.
     pub stats: SolveStats,
 }
 
-/// Internal set storage — mirrors the [`LatticeBackend`] the solve ran
-/// with. The query API is representation-agnostic; only the (test-only)
-/// sharing probe can tell the variants apart.
-#[derive(Clone, Debug)]
-enum Sets {
-    /// One shared slice per variable (the Arc backend).
-    Shared(Vec<Arc<[u32]>>),
-    /// One contiguous CSR: `data[offsets[x]..offsets[x+1]]` is `LT(x)`
-    /// (the dense backend, compacted at freeze time).
-    Flat { offsets: Vec<u32>, data: Vec<u32> },
-}
-
 impl Solution {
-    /// Final step of either solver: demote residual ⊤ (vacuous facts in
-    /// unreachable code) to ∅, recording which variables were demoted.
-    pub(crate) fn freeze(sets: Vec<LtSet>, mut stats: SolveStats) -> Self {
-        let mut frozen = Vec::new();
-        let sets: Vec<Arc<[u32]>> = sets
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| match s {
-                LtSet::Top => {
-                    frozen.push(i as u32);
-                    empty_arc()
-                }
-                LtSet::Elems(a) => a,
-            })
-            .collect();
-        stats.frozen_tops = frozen.len();
-        Self { sets: Sets::Shared(sets), frozen: frozen.into_boxed_slice(), stats }
-    }
-
-    /// A solution over compacted CSR storage (the dense backend's freeze;
+    /// A solution over compacted CSR storage (the store's freeze;
     /// `stats.frozen_tops` is already set by the caller).
     pub(crate) fn from_flat(
         offsets: Vec<u32>,
@@ -196,7 +169,7 @@ impl Solution {
         stats: SolveStats,
     ) -> Self {
         debug_assert_eq!(stats.frozen_tops, frozen.len());
-        Self { sets: Sets::Flat { offsets, data }, frozen, stats }
+        Self { offsets, data, frozen, stats }
     }
 
     /// Whether variable `a` is strictly less than `b` (i.e. `a ∈ LT(b)`).
@@ -206,12 +179,7 @@ impl Solution {
 
     /// The `LT` set of `x` as a sorted slice of raw [`VarId`]s.
     pub fn lt_set(&self, x: VarId) -> &[u32] {
-        match &self.sets {
-            Sets::Shared(sets) => &sets[x.index()],
-            Sets::Flat { offsets, data } => {
-                &data[offsets[x.index()] as usize..offsets[x.index() + 1] as usize]
-            }
-        }
+        &self.data[self.offsets[x.index()] as usize..self.offsets[x.index() + 1] as usize]
     }
 
     /// The `LT` set of `x` in ascending [`VarId`] order.
@@ -228,20 +196,7 @@ impl Solution {
 
     /// Number of variables in the solution.
     pub fn num_vars(&self) -> usize {
-        match &self.sets {
-            Sets::Shared(sets) => sets.len(),
-            Sets::Flat { offsets, .. } => offsets.len() - 1,
-        }
-    }
-
-    /// The shared allocation behind `LT(x)` — exposed for the sharing
-    /// tests, which pin the Arc backend explicitly.
-    #[cfg(test)]
-    pub(crate) fn set_arc(&self, x: VarId) -> &Arc<[u32]> {
-        match &self.sets {
-            Sets::Shared(sets) => &sets[x.index()],
-            Sets::Flat { .. } => panic!("set_arc requires the arc lattice backend"),
-        }
+        self.offsets.len() - 1
     }
 
     /// Histogram entry: how many variables have an `LT` set of size `n`?
@@ -256,32 +211,10 @@ impl Solution {
 }
 
 /// Solves the constraint system over `num_vars` variables with the
-/// paper's FIFO worklist and the [`LatticeBackend::Auto`] storage.
-/// Produces the same fixpoint as
+/// paper's FIFO worklist. Produces the same fixpoint as
 /// [`solve_fast`](crate::fast_solver::solve_fast).
 pub fn solve(constraints: &[Constraint], num_vars: usize) -> Solution {
-    solve_with(constraints, num_vars, LatticeBackend::Auto)
-}
-
-/// [`solve`] with an explicit lattice storage backend. The backend never
-/// changes the result, the statistics, or the evaluation schedule — only
-/// the memory layout the fixpoint is computed in.
-pub fn solve_with(
-    constraints: &[Constraint],
-    num_vars: usize,
-    lattice: LatticeBackend,
-) -> Solution {
-    match lattice.resolve(constraints.len()) {
-        ResolvedBackend::Arc => solve_impl(constraints, num_vars, ArcStore::new(num_vars)),
-        ResolvedBackend::Dense => solve_impl(constraints, num_vars, DenseStore::new(num_vars)),
-    }
-}
-
-fn solve_impl<S: LatticeStore>(
-    constraints: &[Constraint],
-    num_vars: usize,
-    mut store: S,
-) -> Solution {
+    let mut store = DenseStore::new(num_vars);
     // dependents[v] = indexes of constraints whose RHS reads LT(v), in
     // CSR form (two counting passes; the nested-Vec equivalent is the
     // worklist solver's single biggest allocation cost).

@@ -53,7 +53,6 @@
 use crate::constraints::{self, Constraint, GenConfig};
 use crate::engine::FixpointSolver;
 use crate::jobs::Jobs;
-use crate::lattice::LatticeBackend;
 use crate::persist::{SummaryCache, SummaryKeys};
 use crate::store::{SharedSummaryStore, StoreOutcome};
 use crate::var_index::{VarId, VarIndex};
@@ -178,10 +177,9 @@ impl ModuleSummaries {
         cfg: GenConfig,
         index: &VarIndex,
         solver: &dyn FixpointSolver,
-        lattice: LatticeBackend,
         jobs: Jobs,
     ) -> Self {
-        Self::compute_inner(module, ranges, cfg, index, solver, lattice, jobs, false, None, None).0
+        Self::compute_inner(module, ranges, cfg, index, solver, jobs, false, None, None).0
     }
 
     /// [`ModuleSummaries::compute`] with a **warm path**: components whose
@@ -196,20 +194,17 @@ impl ModuleSummaries {
     /// Computes (and returns) the [`SummaryKeys`] itself, sharing one
     /// call-graph + condensation build with the solve loop; hand the
     /// keys to [`crate::persist::save`] to refresh the cache afterwards.
-    #[allow(clippy::too_many_arguments)]
     pub fn compute_incremental(
         module: &Module,
         ranges: &RangeAnalysis,
         cfg: GenConfig,
         index: &VarIndex,
         solver: &dyn FixpointSolver,
-        lattice: LatticeBackend,
         jobs: Jobs,
         cache: Option<&SummaryCache>,
     ) -> (Self, SummaryKeys, CacheOutcome) {
-        let (sums, keys, outcome, _) = Self::compute_inner(
-            module, ranges, cfg, index, solver, lattice, jobs, true, cache, None,
-        );
+        let (sums, keys, outcome, _) =
+            Self::compute_inner(module, ranges, cfg, index, solver, jobs, true, cache, None);
         (sums, keys.expect("requested above"), outcome)
     }
 
@@ -231,14 +226,12 @@ impl ModuleSummaries {
         cfg: GenConfig,
         index: &VarIndex,
         solver: &dyn FixpointSolver,
-        lattice: LatticeBackend,
         jobs: Jobs,
         cache: Option<&SummaryCache>,
         store: Option<&SharedSummaryStore>,
     ) -> (Self, SummaryKeys, CacheOutcome, StoreOutcome) {
-        let (sums, keys, outcome, store_outcome) = Self::compute_inner(
-            module, ranges, cfg, index, solver, lattice, jobs, true, cache, store,
-        );
+        let (sums, keys, outcome, store_outcome) =
+            Self::compute_inner(module, ranges, cfg, index, solver, jobs, true, cache, store);
         (sums, keys.expect("requested above"), outcome, store_outcome)
     }
 
@@ -249,7 +242,6 @@ impl ModuleSummaries {
         cfg: GenConfig,
         index: &VarIndex,
         solver: &dyn FixpointSolver,
-        lattice: LatticeBackend,
         jobs: Jobs,
         want_keys: bool,
         cache: Option<&SummaryCache>,
@@ -346,7 +338,6 @@ impl ModuleSummaries {
                     cfg,
                     index,
                     solver,
-                    lattice,
                     cond.members(ci),
                     cond.is_recursive(ci),
                     &sums.per_func,
@@ -464,7 +455,6 @@ fn solve_scc(
     cfg: GenConfig,
     index: &VarIndex,
     solver: &dyn FixpointSolver,
-    lattice: LatticeBackend,
     members: &[FuncId],
     recursive: bool,
     base: &[FunctionSummary],
@@ -488,7 +478,7 @@ fn solve_scc(
         let view = SccView { base, members, local: &local };
         let raw = constraints::generate_scoped(module, ranges, cfg, index, members, &view);
         let local_cs: Vec<Constraint> = raw.iter().map(|c| space.remap(c)).collect();
-        let solution = solver.solve_with(&local_cs, space.len(), lattice);
+        let solution = solver.solve(&local_cs, space.len());
         solves += 1;
         let mut changed = false;
         for (i, &f) in members.iter().enumerate() {
@@ -619,7 +609,6 @@ mod tests {
             GenConfig::default(),
             &index,
             SolverKind::Scc.solver(),
-            LatticeBackend::Auto,
             Jobs::default(),
         );
         (m, sums)
@@ -765,7 +754,6 @@ mod tests {
             GenConfig::default(),
             &index,
             solver,
-            LatticeBackend::Auto,
             Jobs::default(),
         );
         let keys = SummaryKeys::compute(&m);
@@ -781,7 +769,6 @@ mod tests {
             GenConfig::default(),
             &index,
             solver,
-            LatticeBackend::Auto,
             Jobs::default(),
             Some(&cache),
         );
@@ -801,7 +788,6 @@ mod tests {
             GenConfig::default(),
             &index,
             solver,
-            LatticeBackend::Auto,
             Jobs::default(),
             None,
         );
@@ -851,15 +837,7 @@ mod tests {
         );
         let solver = SolverKind::Scc.solver();
         let run = |jobs: Jobs| {
-            ModuleSummaries::compute(
-                &m,
-                &ranges,
-                GenConfig::default(),
-                &index,
-                solver,
-                LatticeBackend::Auto,
-                jobs,
-            )
+            ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, solver, jobs)
         };
         let serial = run(Jobs::parse("1").unwrap());
         for n in ["2", "4", "7"] {
@@ -891,7 +869,6 @@ mod tests {
             GenConfig::default(),
             &index,
             SolverKind::Scc.solver(),
-            LatticeBackend::Auto,
             Jobs::default(),
         );
         let b = ModuleSummaries::compute(
@@ -900,7 +877,6 @@ mod tests {
             GenConfig::default(),
             &index,
             SolverKind::Worklist.solver(),
-            LatticeBackend::Auto,
             Jobs::default(),
         );
         assert_eq!(a, b);

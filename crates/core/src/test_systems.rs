@@ -1,9 +1,58 @@
 //! Random constraint-system generators shared by the property tests of
-//! the two fixpoint solvers and of the on-demand prover.
+//! the two fixpoint solvers and of the on-demand prover, plus the naive
+//! reference fixpoint those solvers are checked against.
 
 use crate::constraints::Constraint as C;
 use crate::var_index::VarId;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// One Figure 7 transfer function over naive sets, `None` standing for
+/// ⊤ = `V`: `Init` is ∅, `Copy` the source, `Union` the elements plus
+/// every source (⊤ if any source is ⊤), and `Inter` the intersection of
+/// the explicit sources (⊤ is the identity of ∩; all-⊤ stays ⊤).
+pub(crate) fn reference_eval(c: &C, sets: &[Option<BTreeSet<u32>>]) -> Option<BTreeSet<u32>> {
+    match c {
+        C::Init { .. } => Some(BTreeSet::new()),
+        C::Copy { source, .. } => sets[source.index()].clone(),
+        C::Union { elems, sources, .. } => {
+            let mut acc: BTreeSet<u32> = elems.iter().map(|e| e.raw()).collect();
+            for s in sources {
+                acc.extend(sets[s.index()].as_ref()?);
+            }
+            Some(acc)
+        }
+        C::Inter { sources, .. } => sources
+            .iter()
+            .filter_map(|s| sets[s.index()].clone())
+            .reduce(|a, b| a.intersection(&b).copied().collect()),
+    }
+}
+
+/// The greatest fixpoint of `cs` over `n` variables by plain Kleene
+/// iteration from ⊤ (every constraint re-evaluated against the previous
+/// round until nothing changes), then the paper's freeze: per variable,
+/// its sorted `LT` set and whether it was still ⊤ (and so demoted to ∅).
+/// Deliberately slow and shares no code with the solvers' store.
+pub(crate) fn reference_gfp(cs: &[C], n: usize) -> Vec<(Vec<u32>, bool)> {
+    let mut sets: Vec<Option<BTreeSet<u32>>> = vec![None; n];
+    loop {
+        let mut next = sets.clone();
+        for c in cs {
+            next[c.defined().index()] = reference_eval(c, &sets);
+        }
+        if next == sets {
+            break;
+        }
+        sets = next;
+    }
+    sets.into_iter()
+        .map(|s| match s {
+            Some(s) => (s.into_iter().collect(), false),
+            None => (Vec::new(), true),
+        })
+        .collect()
+}
 
 /// A random constraint for variable `x` over `n` variables: any shape the
 /// generator can emit, cycles and dead code included. `None` leaves `x`

@@ -24,8 +24,9 @@
 //! optimised program against its original and require identical results.
 //! The passes re-ask the same pointer pairs constantly (per store, per
 //! loop iteration of the scan); when the oracle is the strict-inequality
-//! backend those queries hit the `sraa_core::DisambiguationEngine`'s
-//! memoized pair cache instead of re-deriving Definition 3.11 each time.
+//! backend each query is answered from the shared
+//! `sraa_core::DisambiguationEngine`'s solved relation (Definition 3.11,
+//! a few binary searches), never by re-running the analysis.
 //! The `applicability_opt` harness (`cargo run -p sraa-bench --bin
 //! applicability_opt`) turns them into the experiment the paper's §2
 //! promises: the same pass, driven by BA, removes fewer memory

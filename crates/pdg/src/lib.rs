@@ -24,8 +24,9 @@
 //!
 //! The builder is parameterised by any [`AliasAnalysis`]; when driven by
 //! the strict-inequality backend it queries the shared
-//! `sraa_core::DisambiguationEngine`, whose memoized pair cache absorbs
-//! the all-pairs access pattern of the class construction below.
+//! `sraa_core::DisambiguationEngine`, whose pair queries are a few
+//! binary searches each, cheap enough for the all-pairs access pattern
+//! of the class construction below.
 
 use sraa_alias::{AliasAnalysis, AliasResult};
 use sraa_ir::{Cfg, FuncId, InstKind, Module, PostDomTree, Value};

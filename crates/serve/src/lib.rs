@@ -2,9 +2,9 @@
 //!
 //! One-shot `sraa` invocations pay the whole pipeline — parse, e-SSA,
 //! constraint generation, fixpoint — for every question asked. The
-//! engine's own design points the other way: pair queries are memoized
-//! and cheap next to whole-solution recomputation, and the summary cache
-//! already makes re-solving incremental. This crate packages that as a
+//! engine's own design points the other way: a pair query is a few
+//! binary searches, cheap next to whole-solution recomputation, and the
+//! summary cache already makes re-solving incremental. This crate packages that as a
 //! long-lived daemon (`sraa serve`) that keeps solved
 //! [`DisambiguationEngine`](sraa_core::DisambiguationEngine)s resident
 //! and answers queries over a socket:

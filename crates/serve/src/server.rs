@@ -45,8 +45,8 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 pub struct ServerConfig {
     /// Engine configuration for uploads. `Contextuality::Summaries`
     /// is forced — the daemon's
-    /// incremental re-upload path needs summaries; solver, lattice and
-    /// jobs knobs are honoured.
+    /// incremental re-upload path needs summaries; solver and jobs knobs
+    /// are honoured.
     pub engine: EngineConfig,
     /// Per-connection idle timeout: a connection that sends no byte for
     /// this long is closed.
@@ -66,7 +66,7 @@ impl Default for ServerConfig {
 }
 
 /// One uploaded module, fully solved and resident. Queries never touch
-/// the engine-construction path again: `no-alias`/`lt` hit the memoized
+/// the engine-construction path again: `no-alias`/`lt` read the solved
 /// engine, `eval` returns the pre-rendered report.
 struct ModuleEntry {
     /// The module in e-SSA form (what the engine was built on).

@@ -15,10 +15,9 @@
 //!
 //! The analysis-driven subcommands (`eval`, `lt`, `pdg`, `opt`) accept
 //! `--solver {worklist,scc}` (default `scc`) to pick the engine's fixpoint
-//! strategy and `--lattice {auto,arc,dense}` (default `auto`) to pick the
-//! solvers' lattice-store backend; every combination produces
-//! byte-identical output, so both flags are performance knobs and
-//! differential-testing hooks. They also accept `--interproc`,
+//! strategy; both produce byte-identical output, so the flag is a
+//! performance knob and a differential-testing hook. They also accept
+//! `--interproc`,
 //! which switches the engine to bottom-up interprocedural summaries
 //! ([`Contextuality::Summaries`]) so strict-inequality facts cross call
 //! boundaries — strictly more `no-alias` verdicts, never fewer — and
@@ -29,14 +28,13 @@
 //! a damaged or mismatched cache file falls back to a cold solve with a
 //! warning, never a panic or a stale result.
 //!
-//! Unrecognised `--flags` are rejected with exit code 2 (they used to be
-//! silently ignored, which hid typos like `--interporc`).
+//! Unrecognised `--flags` and surplus positional arguments are rejected
+//! with exit code 2 (they used to be silently ignored, which hid typos
+//! like `--interporc` and dropped every file after the first).
 
 use sraa::alias::{render_eval, AliasAnalysis, BasicAliasAnalysis, Combined, StrictInequalityAa};
 use sraa::ir::{InstKind, Interpreter};
-use sraa::lt::{
-    CacheOutcome, Contextuality, EngineConfig, Jobs, LatticeBackend, SolverKind, StoreOutcome,
-};
+use sraa::lt::{CacheOutcome, Contextuality, EngineConfig, Jobs, SolverKind, StoreOutcome};
 use sraa::pdg::DepGraph;
 use std::process::exit;
 
@@ -68,8 +66,6 @@ fn main() {
                  \n\
                  \n  --solver {{worklist,scc}}     fixpoint strategy for\
                  \n                              eval/lt/pdg/opt (default scc)\
-                 \n  --lattice {{auto,arc,dense}}  lattice-store backend for\
-                 \n                              eval/lt/pdg/opt (default auto)\
                  \n  --jobs {{N,auto}}             worker threads for parallel\
                  \n                              summary solves (default auto:\
                  \n                              SRAA_JOBS, else all cores)\
@@ -90,13 +86,13 @@ fn main() {
     exit(code);
 }
 
-/// Extracts `--solver <kind>`, `--lattice <backend>`, `--jobs <n>`,
-/// `--interproc`, `--summary-cache <path>` and `--shared-store <dir>`
-/// from `args`, returning the remaining arguments and the chosen
-/// [`EngineConfig`] knobs (defaults: [`SolverKind::Scc`],
-/// [`LatticeBackend::Auto`], [`Jobs::Auto`], [`Contextuality::Intra`],
-/// no cache, no store). `--summary-cache` and `--shared-store` both
-/// imply `--interproc` — they persist interprocedural summaries — and
+/// Extracts `--solver <kind>`, `--jobs <n>`, `--interproc`,
+/// `--summary-cache <path>` and `--shared-store <dir>` from `args`,
+/// returning the remaining arguments and the chosen [`EngineConfig`]
+/// knobs (defaults: [`SolverKind::Scc`], [`Jobs::Auto`],
+/// [`Contextuality::Intra`], no cache, no store). `--summary-cache` and
+/// `--shared-store` both imply `--interproc` — they persist
+/// interprocedural summaries — and
 /// compose: the per-module cache answers first, the cross-module store
 /// catches what it misses. An explicit `--jobs` count beats the
 /// `SRAA_JOBS` environment variable; whichever wins is reported on
@@ -110,14 +106,6 @@ fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig), i32
             return Err(2);
         };
         cfg.solver = k;
-    }
-    let (rest, lattice) = take_value_flag(&rest, "--lattice")?;
-    if let Some(value) = lattice {
-        let Some(b) = LatticeBackend::parse(&value) else {
-            eprintln!("unknown lattice backend `{value}` (expected auto, arc or dense)");
-            return Err(2);
-        };
-        cfg.lattice = b;
     }
     let (rest, jobs) = take_value_flag(&rest, "--jobs")?;
     if let Some(value) = jobs {
@@ -217,16 +205,21 @@ fn take_flag(args: &[String], flag: &str) -> (Vec<String>, bool) {
     (rest, found)
 }
 
-/// Rejects any remaining `--flag` argument: after the known flags have
-/// been extracted, whatever still looks like a flag is a typo or an
-/// unsupported option — exit code 2 with a usage hint, never a silent
-/// no-op.
-fn reject_unknown_flags(args: &[String], usage: &str) -> Result<(), i32> {
+/// Rejects any remaining `--flag` argument and any positional argument
+/// beyond the first `positional`: after the known flags have been
+/// extracted, whatever still looks like a flag is a typo or an
+/// unsupported option, and a surplus operand would otherwise be dropped
+/// unread — exit code 2 with a usage hint, never a silent no-op.
+fn reject_unknown_flags(args: &[String], positional: usize, usage: &str) -> Result<(), i32> {
     for a in args {
         if a.starts_with("--") {
             eprintln!("unknown flag `{a}`\nusage: {usage}");
             return Err(2);
         }
+    }
+    if let Some(a) = args.get(positional) {
+        eprintln!("unexpected argument `{a}`\nusage: {usage}");
+        return Err(2);
     }
     Ok(())
 }
@@ -245,7 +238,7 @@ fn load(path: &str) -> Result<sraa::ir::Module, i32> {
 fn cmd_compile(args: &[String]) -> i32 {
     const USAGE: &str = "sraa compile <file.c> [--essa]";
     let (args, essa) = take_flag(args, "--essa");
-    if let Err(code) = reject_unknown_flags(&args, USAGE) {
+    if let Err(code) = reject_unknown_flags(&args, 1, USAGE) {
         return code;
     }
     let Some(path) = args.first() else {
@@ -265,11 +258,10 @@ fn cmd_compile(args: &[String]) -> i32 {
 }
 
 fn cmd_eval(args: &[String]) -> i32 {
-    const USAGE: &str =
-        "sraa eval <file.c> [--solver worklist|scc] [--lattice auto|arc|dense] [--jobs N] \
+    const USAGE: &str = "sraa eval <file.c> [--solver worklist|scc] [--jobs N] \
          [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
     let Ok((args, cfg)) = take_engine_flags(args) else { return 2 };
-    if let Err(code) = reject_unknown_flags(&args, USAGE) {
+    if let Err(code) = reject_unknown_flags(&args, 1, USAGE) {
         return code;
     }
     let Some(path) = args.first() else {
@@ -287,11 +279,10 @@ fn cmd_eval(args: &[String]) -> i32 {
 }
 
 fn cmd_lt(args: &[String]) -> i32 {
-    const USAGE: &str = "sraa lt <file.c> <function> [--solver worklist|scc] \
-                         [--lattice auto|arc|dense] [--jobs N] [--interproc] \
-                         [--summary-cache <path>] [--shared-store <dir>]";
+    const USAGE: &str = "sraa lt <file.c> <function> [--solver worklist|scc] [--jobs N] \
+                         [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
     let Ok((args, cfg)) = take_engine_flags(args) else { return 2 };
-    if let Err(code) = reject_unknown_flags(&args, USAGE) {
+    if let Err(code) = reject_unknown_flags(&args, 2, USAGE) {
         return code;
     }
     let (Some(path), Some(fname)) = (args.first(), args.get(1)) else {
@@ -354,7 +345,7 @@ fn cmd_lt(args: &[String]) -> i32 {
 
 fn cmd_run(args: &[String]) -> i32 {
     const USAGE: &str = "sraa run <file.c> [ints...]";
-    if let Err(code) = reject_unknown_flags(args, USAGE) {
+    if let Err(code) = reject_unknown_flags(args, usize::MAX, USAGE) {
         return code;
     }
     let Some(path) = args.first() else {
@@ -376,11 +367,10 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 fn cmd_pdg(args: &[String]) -> i32 {
-    const USAGE: &str =
-        "sraa pdg <file.c> [--solver worklist|scc] [--lattice auto|arc|dense] [--jobs N] \
+    const USAGE: &str = "sraa pdg <file.c> [--solver worklist|scc] [--jobs N] \
          [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
     let Ok((args, mut cfg)) = take_engine_flags(args) else { return 2 };
-    if let Err(code) = reject_unknown_flags(&args, USAGE) {
+    if let Err(code) = reject_unknown_flags(&args, 1, USAGE) {
         return code;
     }
     let Some(path) = args.first() else {
@@ -407,12 +397,11 @@ fn cmd_pdg(args: &[String]) -> i32 {
 }
 
 fn cmd_opt(args: &[String]) -> i32 {
-    const USAGE: &str = "sraa opt <file.c> [--ba] [--solver worklist|scc] \
-                         [--lattice auto|arc|dense] [--jobs N] [--interproc] \
-                         [--summary-cache <path>] [--shared-store <dir>]";
+    const USAGE: &str = "sraa opt <file.c> [--ba] [--solver worklist|scc] [--jobs N] \
+                         [--interproc] [--summary-cache <path>] [--shared-store <dir>]";
     let Ok((args, cfg)) = take_engine_flags(args) else { return 2 };
     let (args, ba_only) = take_flag(&args, "--ba");
-    if let Err(code) = reject_unknown_flags(&args, USAGE) {
+    if let Err(code) = reject_unknown_flags(&args, 1, USAGE) {
         return code;
     }
     let Some(path) = args.first() else {
@@ -505,14 +494,14 @@ fn install_signal_handlers(_flag: std::sync::Arc<std::sync::atomic::AtomicBool>)
 
 fn cmd_serve(args: &[String]) -> i32 {
     const USAGE: &str = "sraa serve (--socket <path> | --addr <host:port>) \
-                         [--solver worklist|scc] [--lattice auto|arc|dense] [--jobs N] \
+                         [--solver worklist|scc] [--jobs N] \
                          [--summary-cache <path>] [--shared-store <dir>]";
     let Ok((args, mut cfg)) = take_engine_flags(args) else { return 2 };
     let (args, endpoint) = match take_endpoint(&args, USAGE) {
         Ok(x) => x,
         Err(code) => return code,
     };
-    if let Err(code) = reject_unknown_flags(&args, USAGE) {
+    if let Err(code) = reject_unknown_flags(&args, 0, USAGE) {
         return code;
     }
     // `--summary-cache` is the daemon's warm start: read once at boot,
@@ -599,7 +588,7 @@ fn cmd_query(args: &[String]) -> i32 {
         Ok(x) => x,
         Err(code) => return code,
     };
-    if let Err(code) = reject_unknown_flags(&args, QUERY_USAGE) {
+    if let Err(code) = reject_unknown_flags(&args, usize::MAX, QUERY_USAGE) {
         return code;
     }
     if args.is_empty() {
@@ -842,7 +831,7 @@ fn cmd_gen(args: &[String]) -> i32 {
             return 2;
         }
     };
-    if let Err(code) = reject_unknown_flags(&rest, USAGE) {
+    if let Err(code) = reject_unknown_flags(&rest, 2, USAGE) {
         return code;
     }
     let seed: u64 = rest.first().and_then(|a| a.parse().ok()).unwrap_or(1);

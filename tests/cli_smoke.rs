@@ -138,35 +138,13 @@ fn solver_flag_rejects_unknown_strategies() {
 }
 
 #[test]
-fn lattice_flag_accepts_every_backend_with_identical_output() {
+fn lattice_flag_is_an_unknown_flag() {
+    // There is one lattice store; the old backend knob is a typo now.
     let f = tiny_file();
-    let path = f.to_str().unwrap();
-    let auto = sraa(&["lt", path, "main", "--lattice", "auto"]);
-    assert!(auto.status.success(), "stderr: {}", stderr_of(&auto));
-    // Storage is invisible: every backend prints byte-identical sets,
-    // stats and pop counts, and omitting the flag means auto.
-    let bare = sraa(&["lt", path, "main"]);
-    assert_eq!(stdout(&auto), stdout(&bare), "default must be --lattice auto");
-    for backend in ["arc", "dense"] {
-        let out = sraa(&["lt", path, "main", "--lattice", backend]);
-        assert!(out.status.success(), "--lattice {backend}: {}", stderr_of(&out));
-        assert_eq!(stdout(&auto), stdout(&out), "--lattice {backend} changed the output");
-    }
-    // `eval` accepts it too, on both solver strategies.
-    let a = sraa(&["eval", path, "--lattice", "arc", "--solver", "worklist"]);
-    let d = sraa(&["eval", path, "--lattice", "dense", "--solver", "worklist"]);
-    assert!(a.status.success() && d.status.success());
-    assert_eq!(stdout(&a), stdout(&d), "eval tallies must not depend on the backend");
-}
-
-#[test]
-fn lattice_flag_rejects_unknown_backends() {
-    let f = tiny_file();
-    let out = sraa(&["eval", f.to_str().unwrap(), "--lattice", "sparse"]);
+    let out = sraa(&["lt", f.to_str().unwrap(), "main", "--lattice", "dense"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr_of(&out).contains("unknown lattice backend"), "got: {}", stderr_of(&out));
-    let out = sraa(&["eval", f.to_str().unwrap(), "--lattice"]);
-    assert_eq!(out.status.code(), Some(2));
+    let err = stderr_of(&out);
+    assert!(err.contains("unknown flag `--lattice`") && err.contains("usage:"), "got: {err}");
 }
 
 #[test]
@@ -255,6 +233,30 @@ fn unknown_flags_are_rejected_with_usage() {
         assert_eq!(out.status.code(), Some(2), "args {args:?} must exit 2");
         let err = String::from_utf8_lossy(&out.stderr).into_owned();
         assert!(err.contains("unknown flag"), "args {args:?}: {err}");
+        assert!(err.contains("usage:"), "args {args:?}: {err}");
+    }
+}
+
+#[test]
+fn surplus_positional_arguments_are_rejected_with_usage() {
+    let f = tiny_file();
+    let path = f.to_str().unwrap();
+    // Pre-fix regression: every operand past the expected ones was
+    // dropped unread, so `sraa eval a.c b.c` analysed only `a.c`.
+    for args in [
+        vec!["eval", path, path],
+        vec!["lt", path, "main", "x"],
+        vec!["pdg", path, "x"],
+        vec!["opt", path, "x"],
+        vec!["compile", path, "x"],
+        vec!["gen", "1", "2", "3"],
+        vec!["serve", "--socket", "/tmp/x.sock", "x"],
+    ] {
+        let out = sraa(&args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "args {args:?} must not analyse anything");
+        let err = stderr_of(&out);
+        assert!(err.contains("unexpected argument"), "args {args:?}: {err}");
         assert!(err.contains("usage:"), "args {args:?}: {err}");
     }
 }

@@ -18,8 +18,8 @@
 //! Regenerate with `SRAA_REGEN_GOLDEN=1 cargo test --test incremental`.
 
 use sraa_core::{
-    persist, CacheOutcome, EngineConfig, GenConfig, LatticeBackend, ModuleSummaries, SolverKind,
-    SummaryKeys, VarId, VarIndex,
+    persist, CacheOutcome, EngineConfig, GenConfig, ModuleSummaries, SolverKind, SummaryKeys,
+    VarId, VarIndex,
 };
 use sraa_ir::{BinOp, CallGraph, FuncId, InstKind, Module, Type};
 use sraa_range::RangeAnalysis;
@@ -44,7 +44,6 @@ fn prepare(src: &str) -> Prepared {
         GenConfig::default(),
         &index,
         SolverKind::Scc.solver(),
-        LatticeBackend::Auto,
         sraa_core::Jobs::default(),
     );
     let keys = SummaryKeys::compute(&module);
@@ -82,7 +81,6 @@ fn warm(p: &Prepared, cache: &persist::SummaryCache) -> (ModuleSummaries, CacheO
         GenConfig::default(),
         &p.index,
         SolverKind::Scc.solver(),
-        LatticeBackend::Auto,
         sraa_core::Jobs::default(),
         Some(cache),
     );
@@ -318,7 +316,6 @@ fn golden_bytes() -> Vec<u8> {
         GenConfig::default(),
         &index,
         SolverKind::Scc.solver(),
-        LatticeBackend::Auto,
         sraa_core::Jobs::default(),
     );
     assert_eq!(sums.of(m.function_by_name("next").unwrap()).args_lt_ret(), &[0], "i < next(i)");

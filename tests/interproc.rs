@@ -132,7 +132,6 @@ fn ondemand_prover_agrees_on_summary_systems() {
         GenConfig::default(),
         &index,
         SolverKind::Scc.solver(),
-        sraa_core::LatticeBackend::Auto,
         sraa_core::Jobs::default(),
     );
     let sys = sraa_core::generate_with_summaries(&m, &ranges, GenConfig::default(), &index, &sums);

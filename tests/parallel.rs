@@ -7,13 +7,13 @@
 //! * cold solves, serial vs parallel, on a module wide enough to cross
 //!   the scheduler's spawn floor;
 //! * warm (`--summary-cache`) runs, where only the cold *misses* fan out;
-//! * the lattice backends under parallel jobs (`dense ≡ arc` must keep
-//!   holding when solves run on worker threads);
+//! * the solver strategies under parallel jobs (`worklist ≡ scc` must
+//!   keep holding when solves run on worker threads);
 //! * random csmith-with-helpers programs, cold and warm, via proptest.
 
 use sraa_core::{
-    persist, CacheOutcome, GenConfig, Jobs, LatticeBackend, ModuleSummaries, SolverKind,
-    SummaryKeys, VarId, VarIndex,
+    persist, CacheOutcome, GenConfig, Jobs, ModuleSummaries, SolverKind, SummaryKeys, VarId,
+    VarIndex,
 };
 use sraa_ir::Module;
 use sraa_range::RangeAnalysis;
@@ -65,14 +65,13 @@ fn prepare(src: &str) -> Prepared {
     Prepared { module, ranges, index }
 }
 
-fn cold(p: &Prepared, j: Jobs, backend: LatticeBackend) -> ModuleSummaries {
+fn cold(p: &Prepared, j: Jobs, solver: SolverKind) -> ModuleSummaries {
     ModuleSummaries::compute(
         &p.module,
         &p.ranges,
         GenConfig::default(),
         &p.index,
-        SolverKind::Scc.solver(),
-        backend,
+        solver.solver(),
         j,
     )
 }
@@ -88,7 +87,6 @@ fn warm(
         GenConfig::default(),
         &p.index,
         SolverKind::Scc.solver(),
-        LatticeBackend::Auto,
         j,
         Some(cache),
     )
@@ -133,10 +131,10 @@ fn cold_solves_are_jobs_invariant_on_a_wide_module() {
     // The scheduler only spawns above its instruction floor (2000); the
     // test is vacuous if this module ever shrinks below it.
     assert!(total_insts >= 2_000, "wide module too small: {total_insts} instructions");
-    let serial = cold(&p, jobs(1), LatticeBackend::Auto);
+    let serial = cold(&p, jobs(1), SolverKind::Scc);
     assert!(serial.facts() > 0, "the wide module must produce interprocedural facts");
     for n in [2, 4, 7] {
-        let parallel = cold(&p, jobs(n), LatticeBackend::Auto);
+        let parallel = cold(&p, jobs(n), SolverKind::Scc);
         assert_equivalent(&p, &serial, &parallel, &format!("jobs=1 vs jobs={n}"));
     }
 }
@@ -147,13 +145,13 @@ fn warm_runs_are_jobs_invariant_including_their_outcome() {
     // real misses/invalidations, so its cold residue goes through the
     // wavefront scheduler rather than being all cache hits.
     let old = prepare(&wide_source(24, 80, 7));
-    let old_sums = cold(&old, jobs(1), LatticeBackend::Auto);
+    let old_sums = cold(&old, jobs(1), SolverKind::Scc);
     let old_keys = SummaryKeys::compute(&old.module);
     let bytes = persist::to_bytes(&old.module, &old_sums, &old_keys, GenConfig::default());
     let cache = persist::from_bytes(&bytes, GenConfig::default()).expect("cache round trip");
 
     let p = prepare(&wide_source(24, 80, 0));
-    let baseline = cold(&p, jobs(1), LatticeBackend::Auto);
+    let baseline = cold(&p, jobs(1), SolverKind::Scc);
     let (warm1, keys1, out1) = warm(&p, jobs(1), &cache);
     assert!(out1.misses + out1.invalidated > 0, "the variant cache must not fully hit");
     for n in [2, 4] {
@@ -167,11 +165,11 @@ fn warm_runs_are_jobs_invariant_including_their_outcome() {
 }
 
 #[test]
-fn lattice_backends_agree_under_parallel_jobs() {
+fn solver_strategies_agree_under_parallel_jobs() {
     let p = prepare(&wide_source(24, 80, 3));
-    let arc = cold(&p, jobs(4), LatticeBackend::Arc);
-    let dense = cold(&p, jobs(4), LatticeBackend::Dense);
-    assert_equivalent(&p, &arc, &dense, "arc vs dense at jobs=4");
+    let worklist = cold(&p, jobs(4), SolverKind::Worklist);
+    let scc = cold(&p, jobs(4), SolverKind::Scc);
+    assert_equivalent(&p, &worklist, &scc, "worklist vs scc at jobs=4");
 }
 
 mod proptests {
@@ -197,8 +195,8 @@ mod proptests {
                 helpers,
             });
             let p = prepare(&w.source);
-            let serial = cold(&p, jobs(1), LatticeBackend::Auto);
-            let parallel = cold(&p, jobs(3), LatticeBackend::Auto);
+            let serial = cold(&p, jobs(1), SolverKind::Scc);
+            let parallel = cold(&p, jobs(3), SolverKind::Scc);
             assert_equivalent(&p, &serial, &parallel, &w.name);
         }
 
@@ -217,7 +215,7 @@ mod proptests {
                 helpers,
             });
             let old = prepare(&mk(seed + 100).source);
-            let old_sums = cold(&old, jobs(1), LatticeBackend::Auto);
+            let old_sums = cold(&old, jobs(1), SolverKind::Scc);
             let old_keys = SummaryKeys::compute(&old.module);
             let bytes =
                 persist::to_bytes(&old.module, &old_sums, &old_keys, GenConfig::default());
@@ -230,10 +228,10 @@ mod proptests {
             assert_equivalent(&p, &warm1, &warm3, "csmith warm");
         }
 
-        /// `dense ≡ arc` must keep holding when the per-SCC solves run
-        /// on worker threads.
+        /// `worklist ≡ scc` must keep holding when the per-SCC solves
+        /// run on worker threads.
         #[test]
-        fn csmith_backends_agree_under_parallel_jobs(seed in 0u64..12) {
+        fn csmith_solver_strategies_agree_under_parallel_jobs(seed in 0u64..12) {
             let w = csmith_generate(CsmithConfig {
                 seed,
                 max_ptr_depth: 3,
@@ -241,9 +239,9 @@ mod proptests {
                 helpers: 2,
             });
             let p = prepare(&w.source);
-            let arc = cold(&p, jobs(3), LatticeBackend::Arc);
-            let dense = cold(&p, jobs(3), LatticeBackend::Dense);
-            assert_equivalent(&p, &arc, &dense, &w.name);
+            let worklist = cold(&p, jobs(3), SolverKind::Worklist);
+            let scc = cold(&p, jobs(3), SolverKind::Scc);
+            assert_equivalent(&p, &worklist, &scc, &w.name);
         }
     }
 }

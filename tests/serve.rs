@@ -5,9 +5,7 @@
 //!
 //! The robustness contract under fuzz: any byte sequence a client sends
 //! yields a typed error reply or a clean close — never a panic and never
-//! a hang beyond the read timeout. The daemon runs with
-//! [`LatticeBackend::Auto`](sraa::lt::LatticeBackend::Auto), so the CI
-//! matrix's `SRAA_LATTICE` pin exercises both backends here too.
+//! a hang beyond the read timeout.
 
 use sraa::alias::{render_eval, AaEval, StrictInequalityAa};
 use sraa::ir::{CallGraph, FuncId, Module};

@@ -14,8 +14,7 @@
 
 use sraa_alias::{AaEval, AliasAnalysis, StrictInequalityAa};
 use sraa_core::{
-    generate, solve, solve_fast, DisambiguationEngine, EngineConfig, GenConfig, LatticeBackend,
-    SolverKind, VarId,
+    generate, solve, solve_fast, DisambiguationEngine, EngineConfig, GenConfig, SolverKind, VarId,
 };
 use sraa_synth::{csmith_generate, spec_all, CsmithConfig};
 
@@ -153,85 +152,6 @@ fn solvers_agree_on_figure_1_programs() {
     assert_solvers_agree(partition, "fig1b-partition");
     assert_engine_strategies_agree(ins_sort, "fig1a-ins_sort");
     assert_engine_strategies_agree(partition, "fig1b-partition");
-}
-
-/// Renders every query answer an engine can give — no-alias pairs, LT
-/// sets, deterministic stats, histogram — into one string, so that two
-/// engines can be compared for *byte* equality, not just verdict
-/// equality.
-fn render_engine(source: &str, name: &str, cfg: EngineConfig) -> String {
-    let mut m =
-        sraa_minic::compile(source).unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
-    let engine = DisambiguationEngine::build(&mut m, cfg);
-    let mut rendered = String::new();
-    for (fid, f) in m.functions() {
-        let ptrs = AaEval::pointer_values(&m, fid);
-        rendered.push_str(&format!("{fid:?} {:?}\n", engine.no_alias_pairs(f, fid, &ptrs)));
-        for v in f.value_ids() {
-            let set = engine.lt_set(fid, v);
-            if !set.is_empty() {
-                rendered.push_str(&format!("{fid:?} {v}: {set:?}\n"));
-            }
-        }
-    }
-    let s = engine.stats();
-    rendered.push_str(&format!(
-        "{} {} {} {} {} {} {}\n{:?}",
-        s.constraints,
-        s.variables,
-        s.pops,
-        s.frozen_tops,
-        s.sccs,
-        s.cyclic_sccs,
-        s.union_cycles,
-        engine.size_histogram()
-    ));
-    rendered
-}
-
-/// The lattice backend is a pure storage knob: on both solver
-/// strategies, Arc and Dense produce byte-identical output — same
-/// verdicts, same sets, same pop counts, same histogram. `Auto` must
-/// match too, since it only ever picks one of the two.
-#[test]
-fn lattice_backends_are_byte_identical_through_the_engine() {
-    let workloads: Vec<_> = spec_all().into_iter().take(4).collect();
-    for w in &workloads {
-        for solver in SolverKind::ALL {
-            let run = |lattice: LatticeBackend| {
-                render_engine(
-                    &w.source,
-                    &w.name,
-                    EngineConfig { solver, ..Default::default() }.with_lattice(lattice),
-                )
-            };
-            let arc = run(LatticeBackend::Arc);
-            for lattice in [LatticeBackend::Dense, LatticeBackend::Auto] {
-                assert_eq!(
-                    arc,
-                    run(lattice),
-                    "{}: {solver} output differs between arc and {lattice:?}",
-                    w.name
-                );
-            }
-        }
-    }
-}
-
-/// Same property on the interprocedural path: summaries + final solve
-/// both run under the configured backend.
-#[test]
-fn lattice_backends_agree_in_summaries_mode() {
-    for w in sraa_synth::call_suite(4) {
-        let run = |lattice: LatticeBackend| {
-            render_engine(
-                &w.source,
-                &w.name,
-                EngineConfig::default().with_summaries().with_lattice(lattice),
-            )
-        };
-        assert_eq!(run(LatticeBackend::Arc), run(LatticeBackend::Dense), "{}", w.name);
-    }
 }
 
 /// Repeated runs of the full pipeline must be byte-identical: the solved
