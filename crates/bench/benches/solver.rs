@@ -68,8 +68,8 @@ fn bench_loops(c: &mut Criterion) {
 /// work) on the three shapes that matter: the quadratic chain worst case,
 /// φ-loop-heavy systems, and a real constraint system from the evaluation
 /// corpus (SPEC `gobmk`, the paper's headline combination benchmark).
-/// Both run through the engine's `FixpointSolver` strategy objects, the
-/// exact path the `DisambiguationEngine` takes.
+/// Both run through `SolverKind::solve`, the exact path the
+/// `DisambiguationEngine` takes.
 fn bench_solver_comparison(c: &mut Criterion) {
     let mut group = c.benchmark_group("solvers");
     group.sample_size(20);
@@ -88,11 +88,10 @@ fn bench_solver_comparison(c: &mut Criterion) {
 
     for (name, cs, n) in &shapes {
         for kind in SolverKind::ALL {
-            let solver = kind.solver();
             group.bench_with_input(
                 BenchmarkId::new(kind.as_str(), name),
                 &(cs, *n),
-                |b, (cs, n)| b.iter(|| std::hint::black_box(solver.solve(cs, *n).stats.pops)),
+                |b, (cs, n)| b.iter(|| std::hint::black_box(kind.solve(cs, *n).stats.pops)),
             );
         }
     }

@@ -34,8 +34,7 @@
 
 use sraa_bench::{alloc_count, peak_rss_kb, r_squared, suite_n, Prepared};
 use sraa_core::{
-    persist, Constraint, EngineConfig, GenConfig, Jobs, ModuleSummaries, SolverKind, SummaryKeys,
-    VarId, VarIndex,
+    Constraint, EngineConfig, GenConfig, Jobs, ModuleSummaries, SolverKind, VarId, VarIndex,
 };
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
@@ -84,21 +83,20 @@ fn main() {
     for w in &ws {
         // The paper's §4.2 question is specifically about *constraint
         // solving*: prepare the system outside the timer, then time each
-        // strategy alone, through the engine's `FixpointSolver` objects.
+        // strategy alone, through `SolverKind::solve`.
         let mut m = sraa_minic::compile(&w.source).expect("workloads compile");
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let sys = sraa_core::generate(&m, &ranges, Default::default());
         total_constraints += sys.constraints.len() as u64;
 
         for t in &mut totals {
-            let solver = t.kind.solver();
             // Best of three runs to suppress timer noise on tiny systems.
             let mut dt = f64::INFINITY;
             let mut solution = None;
             for _ in 0..3 {
                 let a0 = alloc_count();
                 let t0 = Instant::now();
-                let mut sol = solver.solve(&sys.constraints, sys.num_vars);
+                let mut sol = t.kind.solve(&sys.constraints, sys.num_vars);
                 dt = dt.min(t0.elapsed().as_secs_f64() * 1e6);
                 // Allocation counts are deterministic per run; stash the
                 // harness-measured figures in the stats block they
@@ -300,7 +298,7 @@ fn interproc_stats() -> InterprocStats {
 
 /// Incremental-engine metrics over the call-heavy family: the cost of a
 /// cold summary build (keys + per-SCC solves), a warm run against a
-/// just-serialized cache (keys + lookups, no solves). `hit_rate` over
+/// just-serialized prior (keys + lookups, no solves). `hit_rate` over
 /// unchanged modules is the cache-correctness canary the perf gate
 /// tracks — anything under 1.0 means keys churn without an edit.
 struct IncrementalStats {
@@ -321,7 +319,7 @@ fn incremental_stats() -> IncrementalStats {
         hit_rate: 0.0,
     };
     let mut hits = 0u64;
-    let solver = SolverKind::Scc.solver();
+    let serial = EngineConfig::default().with_jobs(Jobs::N(NonZeroUsize::MIN));
     for w in &calls {
         let mut m = sraa_minic::compile(&w.source).expect("workloads compile");
         let (ranges, _) = sraa_essa::transform_module(&mut m);
@@ -340,40 +338,26 @@ fn incremental_stats() -> IncrementalStats {
         };
 
         // Cold: everything a `--summary-cache` first run pays beyond IO.
-        let mut keys = None;
         let mut cold = None;
         out.cold_us += best_of_3(&mut || {
-            keys = Some(SummaryKeys::compute(&m));
-            cold = Some(ModuleSummaries::compute(
-                &m,
-                &ranges,
-                GenConfig::default(),
-                &index,
-                solver,
-                Jobs::N(NonZeroUsize::MIN),
-            ));
+            cold = Some(ModuleSummaries::compute(&m, &ranges, &index, &serial, None, None).0);
         });
-        let (keys, cold) = (keys.expect("ran"), cold.expect("ran"));
+        let cold = cold.expect("ran");
 
         // The exact byte round trip a warm run would read from disk.
-        let bytes = persist::to_bytes(&m, &cold, &keys, GenConfig::default());
-        let cache = persist::from_bytes(&bytes, GenConfig::default()).expect("cache round-trips");
+        let path = std::env::temp_dir().join(format!("sraa_bench_cache_{}", std::process::id()));
+        sraa_core::persist::save(&path, &cold, GenConfig::default()).expect("cache writes");
+        let prior = sraa_core::persist::load(&path, GenConfig::default()).expect("cache loads");
+        std::fs::remove_file(&path).ok();
 
-        // Warm: recompute keys, classify, reuse — zero per-SCC solves.
+        // Warm: recompute keys, look up, reuse — zero per-SCC solves.
         let mut warmed = None;
         out.warm_us += best_of_3(&mut || {
-            warmed = Some(ModuleSummaries::compute_incremental(
-                &m,
-                &ranges,
-                GenConfig::default(),
-                &index,
-                solver,
-                Jobs::N(NonZeroUsize::MIN),
-                Some(&cache),
-            ));
+            warmed =
+                Some(ModuleSummaries::compute(&m, &ranges, &index, &serial, Some(&prior), None));
         });
-        let (warm, _warm_keys, outcome) = warmed.expect("ran");
-        assert_eq!((outcome.misses, outcome.invalidated), (0, 0), "{}: keys churned", w.name);
+        let (warm, outcome, _) = warmed.expect("ran");
+        assert_eq!(outcome.misses, 0, "{}: keys churned", w.name);
         assert_eq!(warm.stats.solves, 0, "{}: warm run must skip all solves", w.name);
         for (f, s) in cold.iter() {
             assert_eq!(warm.of(f), s, "{}: warm summary differs", w.name);
@@ -431,7 +415,6 @@ fn parallel_stats() -> ParallelStats {
     let mut m = sraa_minic::compile(&src).expect("wide module compiles");
     let (ranges, _) = sraa_essa::transform_module(&mut m);
     let index = VarIndex::new(&m);
-    let solver = SolverKind::Scc.solver();
     let jobs = bench_jobs();
     let mut out = ParallelStats {
         functions: m.num_functions(),
@@ -441,8 +424,8 @@ fn parallel_stats() -> ParallelStats {
     };
     let run = |jobs: Jobs| {
         let t0 = Instant::now();
-        let sums =
-            ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, solver, jobs);
+        let cfg = EngineConfig::default().with_jobs(jobs);
+        let (sums, ..) = ModuleSummaries::compute(&m, &ranges, &index, &cfg, None, None);
         (t0.elapsed().as_secs_f64() * 1e6, sums)
     };
     let mut serial = None;
@@ -488,11 +471,10 @@ fn dense_inter_us() -> f64 {
         });
     }
     let num_vars = chain + inters;
-    let solver = SolverKind::Scc.solver();
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let t0 = Instant::now();
-        let sol = solver.solve(&cs, num_vars);
+        let sol = SolverKind::Scc.solve(&cs, num_vars);
         best = best.min(t0.elapsed().as_secs_f64() * 1e6);
         std::hint::black_box(sol);
     }
@@ -501,11 +483,11 @@ fn dense_inter_us() -> f64 {
 
 /// The resident daemon vs the one-shot path: what `sraa serve` saves.
 /// `upload_us` is a warm re-upload round trip (compile on the daemon +
-/// incremental classify with zero solves + re-render); `resident_query_us`
+/// key lookups with zero solves + re-render); `resident_query_us`
 /// is one `no-alias` query against the resident engine — a loopback
 /// socket round trip plus the Definition 3.11 check; `oneshot_warm_us` is what
 /// the same answer costs without the daemon: compile + e-SSA + a warm
-/// engine build against an in-memory summary cache + the query. The gate
+/// engine build against an in-memory prior + the query. The gate
 /// enforces resident ≤ one-shot warm on every fresh run — the daemon's
 /// reason to exist.
 struct ServeBenchStats {
@@ -518,12 +500,12 @@ fn serve_stats() -> ServeBenchStats {
     use sraa_serve::{obj, Client, Json, Server, ServerConfig};
     let w = sraa_synth::call_suite(suite_n().min(24)).pop().expect("call suite is non-empty");
 
-    // Cold local build: produces the warm in-memory cache and picks the
+    // Cold local build: produces the warm in-memory prior and picks the
     // question both paths answer (the first function with two pointers).
     let mut m0 = sraa_minic::compile(&w.source).expect("workload compiles");
     let engine0 =
-        sraa_core::DisambiguationEngine::build_with_cache(&mut m0, EngineConfig::default(), None);
-    let cache = engine0.export_summary_cache(&m0).expect("summaries mode");
+        sraa_core::DisambiguationEngine::build(&mut m0, EngineConfig::default().with_summaries());
+    let prior = engine0.summaries().expect("summaries mode").prior();
     let (fname, _, v1, v2) = m0
         .functions()
         .find_map(|(fid, f)| {
@@ -538,10 +520,11 @@ fn serve_stats() -> ServeBenchStats {
     for _ in 0..5 {
         let t0 = Instant::now();
         let mut m = sraa_minic::compile(&w.source).expect("workload compiles");
-        let engine = sraa_core::DisambiguationEngine::build_with_cache(
+        let engine = sraa_core::DisambiguationEngine::build_warm(
             &mut m,
             EngineConfig::default(),
-            Some(&cache),
+            Some(&prior),
+            None,
         );
         let fid = m.function_by_name(&fname).expect("function survives recompilation");
         std::hint::black_box(engine.no_alias(m.function(fid), fid, v1, v2));
@@ -619,7 +602,7 @@ fn store_bench_stats() -> StoreBenchStats {
         let store = SharedSummaryStore::open(&dir, GenConfig::default()).expect("store opens");
         let mut m = sraa_minic::compile(&w.source).expect("workload compiles");
         let t0 = Instant::now();
-        let engine = sraa_core::DisambiguationEngine::build_with_cache_and_store(
+        let engine = sraa_core::DisambiguationEngine::build_warm(
             &mut m,
             EngineConfig::default(),
             None,
@@ -636,7 +619,7 @@ fn store_bench_stats() -> StoreBenchStats {
     {
         let store = SharedSummaryStore::open(&dir, GenConfig::default()).expect("store opens");
         let mut m = sraa_minic::compile(&w.source).expect("workload compiles");
-        let engine = sraa_core::DisambiguationEngine::build_with_cache_and_store(
+        let engine = sraa_core::DisambiguationEngine::build_warm(
             &mut m,
             EngineConfig::default(),
             None,
@@ -650,7 +633,7 @@ fn store_bench_stats() -> StoreBenchStats {
         let store = SharedSummaryStore::open(&dir, GenConfig::default()).expect("store reopens");
         let mut m = sraa_minic::compile(&w.source).expect("workload compiles");
         let t0 = Instant::now();
-        let engine = sraa_core::DisambiguationEngine::build_with_cache_and_store(
+        let engine = sraa_core::DisambiguationEngine::build_warm(
             &mut m,
             EngineConfig::default(),
             None,
@@ -680,11 +663,10 @@ fn calibrate() -> f64 {
     let mut m = sraa_minic::compile(&w.source).expect("calibration workload compiles");
     let (ranges, _) = sraa_essa::transform_module(&mut m);
     let sys = sraa_core::generate(&m, &ranges, Default::default());
-    let solver = SolverKind::Scc.solver();
     let mut best = f64::INFINITY;
     for _ in 0..5 {
         let t0 = Instant::now();
-        let sol = solver.solve(&sys.constraints, sys.num_vars);
+        let sol = SolverKind::Scc.solve(&sys.constraints, sys.num_vars);
         best = best.min(t0.elapsed().as_secs_f64() * 1e6);
         std::hint::black_box(sol);
     }

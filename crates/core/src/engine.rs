@@ -4,7 +4,7 @@
 //!             e-SSA lowering        constraint generation
 //! SSA module ───(sraa-essa)──▶ e-SSA ──(Figure 7, per-function,──▶ ConstraintSystem
 //!                                        scoped threads)                 │
-//!                                                          FixpointSolver│(SolverKind)
+//!                                                              SolverKind│
 //!                                                                        ▼
 //!        queries (Definition 3.11, batch API) ◀──────────────────  Solution
 //! ```
@@ -14,8 +14,8 @@
 //! solver itself and re-plumbed the e-SSA → constraints → solve pipeline.
 //! The engine centralises that: it owns the interned [`VarIndex`] arena,
 //! runs constraint generation (fanning the per-function pass out across
-//! scoped threads on large modules), solves with a pluggable
-//! [`FixpointSolver`] strategy selected by [`SolverKind`], and answers
+//! scoped threads on large modules), solves with the strategy selected
+//! by [`SolverKind`], and answers
 //! every disambiguation query directly from the solved relation (two
 //! binary searches per criterion). Consumers hold an engine (usually
 //! behind an `Arc`) and ask questions; none of them constructs solvers
@@ -25,53 +25,13 @@ use crate::analysis::{derived_pointer, strip_copies};
 use crate::constraints::{self, Constraint, GenConfig};
 use crate::fast_solver::solve_fast;
 use crate::jobs::Jobs;
-use crate::persist;
+use crate::persist::{self, SummaryMap};
 use crate::solver::{solve, Solution, SolveStats};
 use crate::store::{SharedSummaryStore, StoreOutcome};
 use crate::summary::{CacheOutcome, FunctionSummary, ModuleSummaries};
 use crate::var_index::VarIndex;
 use sraa_ir::{FuncId, Function, InstKind, Module, Type, Value};
 use sraa_range::RangeAnalysis;
-
-/// A fixpoint strategy over the paper's constraint lattice. Both
-/// implementations return the same [`Solution`] representation and — by
-/// construction and by differential test — the same fixpoint; they differ
-/// only in scheduling.
-pub trait FixpointSolver: Sync {
-    /// Short name used in reports and CLI flags.
-    fn name(&self) -> &'static str;
-
-    /// Solves the constraint system over `num_vars` variables.
-    fn solve(&self, constraints: &[Constraint], num_vars: usize) -> Solution;
-}
-
-/// The paper's §3.4 FIFO worklist (baseline fidelity).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WorklistSolver;
-
-impl FixpointSolver for WorklistSolver {
-    fn name(&self) -> &'static str {
-        "worklist"
-    }
-
-    fn solve(&self, constraints: &[Constraint], num_vars: usize) -> Solution {
-        solve(constraints, num_vars)
-    }
-}
-
-/// The SCC-condensation solver (§6's open problem; the default).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SccSolver;
-
-impl FixpointSolver for SccSolver {
-    fn name(&self) -> &'static str {
-        "scc"
-    }
-
-    fn solve(&self, constraints: &[Constraint], num_vars: usize) -> Solution {
-        solve_fast(constraints, num_vars)
-    }
-}
 
 /// Which fixpoint strategy the engine runs.
 ///
@@ -109,14 +69,18 @@ impl SolverKind {
 
     /// The CLI-style name.
     pub fn as_str(self) -> &'static str {
-        self.solver().name()
+        match self {
+            SolverKind::Worklist => "worklist",
+            SolverKind::Scc => "scc",
+        }
     }
 
-    /// The strategy implementation.
-    pub fn solver(self) -> &'static dyn FixpointSolver {
+    /// Solves the constraint system over `num_vars` variables with this
+    /// strategy.
+    pub fn solve(self, constraints: &[Constraint], num_vars: usize) -> Solution {
         match self {
-            SolverKind::Worklist => &WorklistSolver,
-            SolverKind::Scc => &SccSolver,
+            SolverKind::Worklist => solve(constraints, num_vars),
+            SolverKind::Scc => solve_fast(constraints, num_vars),
         }
     }
 }
@@ -148,34 +112,6 @@ pub enum Contextuality {
     Summaries,
 }
 
-impl Contextuality {
-    /// Every mode, in presentation order.
-    pub const ALL: [Contextuality; 2] = [Contextuality::Intra, Contextuality::Summaries];
-
-    /// Parses a CLI-style name (`"intra"` / `"summaries"`).
-    pub fn parse(s: &str) -> Option<Contextuality> {
-        match s {
-            "intra" => Some(Contextuality::Intra),
-            "summaries" => Some(Contextuality::Summaries),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Contextuality::Intra => "intra",
-            Contextuality::Summaries => "summaries",
-        }
-    }
-}
-
-impl std::fmt::Display for Contextuality {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Full engine configuration: constraint-generation options, the fixpoint
 /// strategy, the interprocedural mode, and the optional persistent
 /// summary cache.
@@ -190,10 +126,10 @@ pub struct EngineConfig {
     /// Path of the persistent summary cache (the CLI's `--summary-cache`).
     /// Only meaningful with [`Contextuality::Summaries`] — the cache
     /// stores interprocedural summaries. When set, the engine reads the
-    /// file before the summary phase (any defect falls back to a cold
-    /// solve with a warning on stderr, never a panic or a stale result)
-    /// and rewrites it afterwards. Hit/miss/invalidated counts land in
-    /// [`SolveStats`].
+    /// file as the prior before the summary phase (any defect falls back
+    /// to a cold solve with a warning on stderr, never a panic or a stale
+    /// result) and rewrites it afterwards with this run's keys. Hit/miss
+    /// counts land in [`SolveStats`].
     pub summary_cache: Option<std::path::PathBuf>,
     /// Directory of the content-addressed shared summary store (the
     /// CLI's `--shared-store`). Only meaningful with
@@ -201,8 +137,9 @@ pub struct EngineConfig {
     /// one module name — the store spans *all* modules and processes:
     /// entries are keyed by the content-addressed summary key alone, so
     /// a helper solved under any module (or by another daemon sharing
-    /// the directory) is a hit here. Consulted after the per-module
-    /// cache; newly solved summaries are published back. A defective
+    /// the directory) is a hit here. Consulted for every key the
+    /// per-module cache lacks; newly solved summaries are published
+    /// back. A defective
     /// directory falls back to running without the store, with a warning
     /// on stderr. Hit/miss/publish counts land in [`SolveStats`].
     pub shared_store: Option<std::path::PathBuf>,
@@ -230,8 +167,8 @@ impl EngineConfig {
 
     /// This configuration with a content-addressed shared summary store
     /// at `dir` (implies [`Contextuality::Summaries`]). Composes with
-    /// [`EngineConfig::with_summary_cache`]: the per-module cache is
-    /// consulted first, the store catches what it misses.
+    /// [`EngineConfig::with_summary_cache`]: each key is looked up in
+    /// the per-module cache first, then in the store.
     pub fn with_shared_store(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.contextuality = Contextuality::Summaries;
         self.shared_store = Some(dir.into());
@@ -295,92 +232,50 @@ impl DisambiguationEngine {
 
     /// Analyzes a module that is *already* in e-SSA form, with
     /// caller-provided ranges. Useful when the caller also needs the
-    /// intermediate artifacts.
+    /// intermediate artifacts. Reads and rewrites the configured
+    /// `summary_cache` file and opens the configured `shared_store`.
     pub fn on_prepared(module: &Module, ranges: &RangeAnalysis, cfg: EngineConfig) -> Self {
-        let index = VarIndex::new(module);
-        let solver = cfg.solver.solver();
-        // Interprocedural mode: distil per-function summaries bottom-up
-        // over the condensed call graph first, then let module-wide
-        // constraint generation apply them at every call site. With a
-        // persistent cache configured, unchanged components reuse their
-        // stored summaries instead of re-solving.
-        let summary_t0 = std::time::Instant::now();
-        let mut cache_outcome = CacheOutcome::default();
-        let mut store_outcome = StoreOutcome::default();
-        let summaries = match cfg.contextuality {
-            Contextuality::Intra => None,
-            Contextuality::Summaries => match (&cfg.summary_cache, Self::open_store(&cfg)) {
-                (None, None) => Some(ModuleSummaries::compute(
-                    module, ranges, cfg.gen, &index, solver, cfg.jobs,
-                )),
-                (None, Some(store)) => {
-                    // Store only: consult by content-addressed key, solve
-                    // the residue, publish everything back (idempotent —
-                    // insert-if-absent, so a warm run publishes nothing).
-                    let (sums, keys, _, mut s_out) = ModuleSummaries::compute_incremental_shared(
-                        module,
-                        ranges,
-                        cfg.gen,
-                        &index,
-                        solver,
-                        cfg.jobs,
-                        None,
-                        Some(&store),
-                    );
-                    s_out.published = Self::publish_all(&store, &sums, &keys);
-                    store_outcome = s_out;
-                    Some(sums)
+        let t0 = std::time::Instant::now();
+        if cfg.contextuality == Contextuality::Intra {
+            return Self::assemble(module, ranges, cfg, None, None, t0);
+        }
+        // A missing file is a plain cold start; a defective one is a
+        // warned cold start. Either way every function counts as a miss
+        // against the empty prior, and the rewrite below heals the file.
+        let prior = cfg.summary_cache.as_deref().map(|path| {
+            persist::load(path, cfg.gen).unwrap_or_else(|e| {
+                if !e.is_not_found() {
+                    eprintln!("# summary-cache warning: {}: {e}; running cold", path.display());
                 }
-                (Some(path), store) => {
-                    let cache = match persist::load(path, cfg.gen) {
-                        Ok(cache) => Some(cache),
-                        Err(e) if e.is_not_found() => None, // first run: plain cold start
-                        Err(e) => {
-                            eprintln!(
-                                "# summary-cache warning: {}: {e}; running cold",
-                                path.display()
-                            );
-                            None
-                        }
-                    };
-                    let had_entries = cache.as_ref().is_some_and(|c| !c.is_empty());
-                    let (sums, keys, outcome, s_out) = Self::summaries_from_cache(
-                        module,
-                        ranges,
-                        &cfg,
-                        &index,
-                        cache.as_ref(),
-                        store.as_ref(),
-                    );
-                    if had_entries && outcome.hits == 0 && module.num_functions() > 0 {
-                        eprintln!(
-                            "# summary-cache warning: {}: no cached summary matched this \
-                             module; running cold",
-                            path.display()
-                        );
-                    }
-                    // Rewrite unconditionally: refreshes stale entries and
-                    // heals corrupted files. A write failure only costs
-                    // the *next* run its warm start.
-                    if let Err(e) = persist::save(path, module, &sums, &keys, cfg.gen) {
-                        eprintln!("# summary-cache warning: cannot write {}: {e}", path.display());
-                    }
-                    cache_outcome = outcome;
-                    store_outcome = s_out;
-                    Some(sums)
-                }
-            },
-        };
-        Self::assemble(
-            module,
-            ranges,
-            cfg,
-            index,
-            summaries,
-            summary_t0,
-            cache_outcome,
-            store_outcome,
-        )
+                SummaryMap::new()
+            })
+        });
+        let store = Self::open_store(&cfg);
+        Self::assemble(module, ranges, cfg, prior.as_ref(), store.as_ref(), t0)
+    }
+
+    /// Builds the engine in interprocedural mode against a caller-held
+    /// `prior` (`key → summary`, e.g. the previous upload's
+    /// [`ModuleSummaries::entries`]) and/or a caller-held
+    /// [`SharedSummaryStore`] — the resident-daemon path (`sraa serve`).
+    /// Every member is looked up by key in the prior, then the store;
+    /// whatever is still missing is solved, and every summary is
+    /// published back into the store. No file IO happens besides the
+    /// store's own segments: any `summary_cache`/`shared_store` path in
+    /// `cfg` is ignored, and [`Contextuality::Summaries`] is implied. The
+    /// module is mutated (converted to e-SSA form).
+    pub fn build_warm(
+        module: &mut Module,
+        mut cfg: EngineConfig,
+        prior: Option<&SummaryMap>,
+        store: Option<&SharedSummaryStore>,
+    ) -> Self {
+        let (ranges, _) = sraa_essa::transform_module(module);
+        let t0 = std::time::Instant::now();
+        cfg.contextuality = Contextuality::Summaries;
+        cfg.summary_cache = None;
+        cfg.shared_store = None;
+        Self::assemble(module, &ranges, cfg, prior, store, t0)
     }
 
     /// Opens the configured shared store, degrading to `None` (with a
@@ -400,159 +295,77 @@ impl DisambiguationEngine {
         }
     }
 
-    /// Publishes every `(key, summary)` pair of a finished solve into
-    /// `store`, returning how many were new. Publishing all pairs (not
-    /// just the cold-solved ones) is deliberate: insert-if-absent makes
-    /// it idempotent, and it migrates summaries that arrived via the
-    /// per-module cache into the shared store.
-    fn publish_all(
-        store: &SharedSummaryStore,
-        sums: &ModuleSummaries,
-        keys: &persist::SummaryKeys,
-    ) -> u32 {
-        let entries: Vec<(u64, FunctionSummary)> =
-            sums.iter().map(|(fid, s)| (keys.of(fid), s.clone())).collect();
-        match store.publish(&entries) {
-            Ok(n) => n as u32,
-            Err(e) => {
-                eprintln!(
-                    "# shared-store warning: cannot publish to {}: {e}",
-                    store.dir().display()
-                );
-                0
-            }
-        }
-    }
-
-    /// Builds the engine in interprocedural mode against a caller-held
-    /// **in-memory** summary cache — the resident-daemon path
-    /// (`sraa serve`). No file IO happens: the caller owns persistence
-    /// (see [`DisambiguationEngine::export_summary_cache`] for the other
-    /// half of the round trip). The warm/cold outcome lands in the
-    /// [`SolveStats`] cache counters exactly like the file-backed path,
-    /// and re-building against the cache of a previous build invalidates
-    /// exactly the reverse-reachability closure of the edit (same
-    /// key scheme, same `compute_incremental` path).
-    ///
-    /// The module is mutated (converted to e-SSA form) and
-    /// [`Contextuality::Summaries`] is implied; any `summary_cache` path
-    /// in `cfg` is ignored.
-    pub fn build_with_cache(
-        module: &mut Module,
-        cfg: EngineConfig,
-        cache: Option<&persist::SummaryCache>,
-    ) -> Self {
-        Self::build_with_cache_and_store(module, cfg, cache, None)
-    }
-
-    /// [`DisambiguationEngine::build_with_cache`] with an additional
-    /// caller-held [`SharedSummaryStore`]: components the per-module
-    /// cache cannot satisfy are looked up by content-addressed key, and
-    /// every solved summary is published back (idempotently). This is
-    /// the daemon's `--shared-store` path — the daemon owns one resident
-    /// store for its lifetime and threads it through every upload.
-    pub fn build_with_cache_and_store(
-        module: &mut Module,
-        cfg: EngineConfig,
-        cache: Option<&persist::SummaryCache>,
-        store: Option<&SharedSummaryStore>,
-    ) -> Self {
-        let (ranges, _) = sraa_essa::transform_module(module);
-        Self::on_prepared_with_cache_and_store(module, &ranges, cfg, cache, store)
-    }
-
-    /// [`DisambiguationEngine::build_with_cache`] over a module already in
-    /// e-SSA form, with caller-provided ranges.
-    pub fn on_prepared_with_cache(
-        module: &Module,
-        ranges: &RangeAnalysis,
-        cfg: EngineConfig,
-        cache: Option<&persist::SummaryCache>,
-    ) -> Self {
-        Self::on_prepared_with_cache_and_store(module, ranges, cfg, cache, None)
-    }
-
-    /// [`DisambiguationEngine::build_with_cache_and_store`] over a module
-    /// already in e-SSA form, with caller-provided ranges.
-    pub fn on_prepared_with_cache_and_store(
-        module: &Module,
-        ranges: &RangeAnalysis,
-        mut cfg: EngineConfig,
-        cache: Option<&persist::SummaryCache>,
-        store: Option<&SharedSummaryStore>,
-    ) -> Self {
-        cfg.contextuality = Contextuality::Summaries;
-        cfg.summary_cache = None;
-        cfg.shared_store = None;
-        let index = VarIndex::new(module);
-        let summary_t0 = std::time::Instant::now();
-        let (sums, _keys, outcome, store_outcome) =
-            Self::summaries_from_cache(module, ranges, &cfg, &index, cache, store);
-        Self::assemble(module, ranges, cfg, index, Some(sums), summary_t0, outcome, store_outcome)
-    }
-
-    /// The engine's current summaries as an in-memory [`persist::SummaryCache`] —
-    /// what a resident daemon hands back to
-    /// [`DisambiguationEngine::build_with_cache`] on the next upload of
-    /// the same module. `module` must be the (e-SSA) module this engine
-    /// was built on. `None` for intraprocedural engines, which carry no
-    /// summaries to cache.
-    pub fn export_summary_cache(&self, module: &Module) -> Option<persist::SummaryCache> {
-        let sums = self.summaries.as_ref()?;
-        let keys = persist::SummaryKeys::compute(module);
-        Some(persist::SummaryCache::from_parts(module, sums, &keys))
-    }
-
-    /// The shared incremental summary phase: classify every component
-    /// against `cache` (reusing hits, re-solving the rest) and keep the
-    /// hit/miss accounting honest when there was no usable cache at all.
-    fn summaries_from_cache(
+    /// The interprocedural summary phase: look every function up in the
+    /// prior and the store, solve the residue, rewrite the configured
+    /// cache file and publish into the store. The file rewrite is
+    /// unconditional — it refreshes stale entries and heals defective
+    /// files; a write failure only costs the *next* run its warm start.
+    /// Publishing every entry (not just the cold-solved ones) is
+    /// deliberate: insert-if-absent makes it idempotent, and it migrates
+    /// summaries that arrived via the prior into the store.
+    fn summary_phase(
         module: &Module,
         ranges: &RangeAnalysis,
         cfg: &EngineConfig,
         index: &VarIndex,
-        cache: Option<&persist::SummaryCache>,
+        prior: Option<&SummaryMap>,
         store: Option<&SharedSummaryStore>,
-    ) -> (ModuleSummaries, persist::SummaryKeys, CacheOutcome, StoreOutcome) {
-        let (sums, keys, mut outcome, mut store_outcome) =
-            ModuleSummaries::compute_incremental_shared(
-                module,
-                ranges,
-                cfg.gen,
-                index,
-                cfg.solver.solver(),
-                cfg.jobs,
-                cache,
-                store,
-            );
-        if cache.is_none() {
-            // No usable cache at all: every function was a miss, so a
-            // first (or fallback) run reports an honest 0% hit rate
-            // rather than a vacuous 100%.
-            outcome.misses = module.num_functions() as u32;
+    ) -> (ModuleSummaries, CacheOutcome, StoreOutcome) {
+        let (sums, outcome, mut store_outcome) =
+            ModuleSummaries::compute(module, ranges, index, cfg, prior, store);
+        if let Some(path) = &cfg.summary_cache {
+            if prior.is_some_and(|p| !p.is_empty()) && outcome.hits == 0 && outcome.misses > 0 {
+                eprintln!(
+                    "# summary-cache warning: {}: no cached summary matched this module; \
+                     running cold",
+                    path.display()
+                );
+            }
+            if let Err(e) = persist::save(path, &sums, cfg.gen) {
+                eprintln!("# summary-cache warning: cannot write {}: {e}", path.display());
+            }
         }
         if let Some(store) = store {
-            store_outcome.published = Self::publish_all(store, &sums, &keys);
+            let entries: Vec<(u64, FunctionSummary)> =
+                sums.entries().map(|(k, s)| (k, s.clone())).collect();
+            store_outcome.published = match store.publish(&entries) {
+                Ok(n) => n as u32,
+                Err(e) => {
+                    eprintln!(
+                        "# shared-store warning: cannot publish to {}: {e}",
+                        store.dir().display()
+                    );
+                    0
+                }
+            };
         }
-        (sums, keys, outcome, store_outcome)
+        (sums, outcome, store_outcome)
     }
 
-    /// The tail of every construction path: constraint generation, the
-    /// module-wide solve(s), and per-phase stats attribution.
-    #[allow(clippy::too_many_arguments)] // internal funnel, one caller per path
+    /// The tail of every construction path: the summary phase (in
+    /// interprocedural mode), constraint generation, the module-wide
+    /// solve(s), and per-phase stats attribution. `t0` marks the start of
+    /// the summary phase, cache IO included.
     fn assemble(
         module: &Module,
         ranges: &RangeAnalysis,
         cfg: EngineConfig,
-        index: VarIndex,
-        summaries: Option<ModuleSummaries>,
-        summary_t0: std::time::Instant,
-        cache_outcome: CacheOutcome,
-        store_outcome: StoreOutcome,
+        prior: Option<&SummaryMap>,
+        store: Option<&SharedSummaryStore>,
+        t0: std::time::Instant,
     ) -> Self {
-        let solver = cfg.solver.solver();
-        let summary_build_ns =
-            if summaries.is_some() { summary_t0.elapsed().as_nanos() as u64 } else { 0 };
+        let index = VarIndex::new(module);
+        // Interprocedural mode: distil per-function summaries bottom-up
+        // over the condensed call graph first, then let module-wide
+        // constraint generation apply them at every call site.
+        let (summaries, cache_outcome, store_outcome) = match cfg.contextuality {
+            Contextuality::Intra => (None, CacheOutcome::default(), StoreOutcome::default()),
+            Contextuality::Summaries => {
+                let (sums, c, s) = Self::summary_phase(module, ranges, &cfg, &index, prior, store);
+                (Some(sums), c, s)
+            }
+        };
+        let summary_build_ns = if summaries.is_some() { t0.elapsed().as_nanos() as u64 } else { 0 };
         let mut sys = match &summaries {
             None => constraints::generate_with_index(module, ranges, cfg.gen, &index),
             Some(sums) => {
@@ -560,7 +373,7 @@ impl DisambiguationEngine {
             }
         };
         let solve_t0 = std::time::Instant::now();
-        let mut solution = solver.solve(&sys.constraints, sys.num_vars);
+        let mut solution = cfg.solver.solve(&sys.constraints, sys.num_vars);
 
         // Parameter-pair refinement (see `GenConfig::param_pairs`): when
         // every internal call site orders two arguments, the corresponding
@@ -596,7 +409,7 @@ impl DisambiguationEngine {
                 if !added {
                     break;
                 }
-                solution = solver.solve(&sys.constraints, sys.num_vars);
+                solution = cfg.solver.solve(&sys.constraints, sys.num_vars);
             }
         }
 
@@ -607,7 +420,6 @@ impl DisambiguationEngine {
         solution.stats.final_solve_ns = solve_t0.elapsed().as_nanos() as u64;
         solution.stats.cache_hits = cache_outcome.hits;
         solution.stats.cache_misses = cache_outcome.misses;
-        solution.stats.cache_invalidated = cache_outcome.invalidated;
         solution.stats.store_hits = store_outcome.hits;
         solution.stats.store_misses = store_outcome.misses;
         solution.stats.store_published = store_outcome.published;
@@ -868,18 +680,6 @@ mod tests {
                     assert!(inter.no_alias(f, fid, a, b), "summaries lost {a} vs {b}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn contextuality_parses_cli_names() {
-        assert_eq!(Contextuality::parse("intra"), Some(Contextuality::Intra));
-        assert_eq!(Contextuality::parse("summaries"), Some(Contextuality::Summaries));
-        assert_eq!(Contextuality::parse("magic"), None);
-        assert_eq!(Contextuality::default(), Contextuality::Intra);
-        for c in Contextuality::ALL {
-            assert_eq!(Contextuality::parse(c.as_str()), Some(c));
-            assert_eq!(format!("{c}"), c.as_str());
         }
     }
 

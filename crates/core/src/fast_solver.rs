@@ -27,9 +27,8 @@
 //!    symbolic ⊤, switching to bitset rows inside large cyclic
 //!    components — and are byte-for-byte the ones the worklist solver
 //!    uses. This solver contributes *scheduling only*, so both
-//!    strategies plug into the engine's
-//!    [`FixpointSolver`](crate::engine::FixpointSolver) trait and return
-//!    the same [`Solution`] type.
+//!    strategies sit behind [`SolverKind::solve`](crate::SolverKind::solve)
+//!    and return the same [`Solution`] type.
 //!
 //! The `solvers` Criterion bench group (`crates/bench/benches/solver.rs`)
 //! measures the effect; `EXPERIMENTS.md` records the observed speed-ups.

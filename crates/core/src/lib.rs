@@ -21,10 +21,10 @@
 //!   │SSA module│───(sraa-essa)─▶│  e-SSA  │───(scoped threads)──────▶│ConstraintSystem│
 //!   └──────────┘                └─────────┘                          └───────┬───────┘
 //!                                                                           │
-//!                                             FixpointSolver (SolverKind)   │
+//!                                             SolverKind::solve             │
 //!                                  ┌─────────────────┬──────────────────────┘
 //!                                  ▼                 ▼
-//!                           WorklistSolver       SccSolver            one lattice store
+//!                           Worklist: solve      Scc: solve_fast      one lattice store
 //!                           (paper §3.4)         (§6 answer)          (flat arena + bitsets)
 //!                                  └────────┬────────┘
 //!                                           ▼
@@ -42,7 +42,7 @@
 //!    `O(|V|)`, one pass per function, fanned out across scoped threads
 //!    on large modules; variables are interned [`VarId`]s.
 //! 4. **Fixpoint solving** over the lattice `⟨V, ∩, ∅, V, ⊆⟩`, descending
-//!    from ⊤, behind the pluggable [`FixpointSolver`] trait: the paper's
+//!    from ⊤, with the strategy chosen by [`SolverKind`]: the paper's
 //!    FIFO worklist ([`solver`], [`SolverKind::Worklist`]) or the
 //!    SCC-condensation solver ([`fast_solver`], [`SolverKind::Scc`] — the
 //!    default). Both propagate change-by-change through one lattice
@@ -108,15 +108,12 @@ pub mod var_index;
 
 pub use analysis::{derived_pointer, strip_copies, StrictInequalityAnalysis};
 pub use constraints::{generate, generate_with_summaries, Constraint, ConstraintSystem, GenConfig};
-pub use engine::{
-    Contextuality, DisambiguationEngine, EngineConfig, FixpointSolver, SccSolver, SolverKind,
-    WorklistSolver,
-};
+pub use engine::{Contextuality, DisambiguationEngine, EngineConfig, SolverKind};
 pub use fast_solver::solve_fast;
 pub use jobs::Jobs;
 pub use lattice::ChangeResult;
 pub use ondemand::OnDemandProver;
-pub use persist::{PersistError, SummaryCache, SummaryKeys, FORMAT_VERSION};
+pub use persist::{PersistError, SummaryKeys, SummaryMap, FORMAT_VERSION};
 pub use solver::{solve, Solution, SolveStats};
 pub use store::{SharedSummaryStore, StoreOutcome};
 pub use summary::{CacheOutcome, FunctionSummary, ModuleSummaries, SummaryStats};

@@ -1,13 +1,12 @@
-//! Persistent summary cache — serialization and cache keys for
-//! incremental `sraa` runs.
+//! Summary persistence — cache keys and the one on-disk format shared by
+//! `--summary-cache` and the shared summary store.
 //!
 //! Re-solving unchanged code dominates whole-module cost on repeated
-//! invocations. [`ModuleSummaries`] is deterministic and per-function, so
-//! it can be persisted between runs and reused for every function whose
-//! *meaning-relevant inputs* did not change. This module provides the two
-//! halves of that:
+//! invocations. [`ModuleSummaries`] is deterministic and per-function,
+//! so it can be persisted between runs and reused for every function
+//! whose *meaning-relevant inputs* did not change. This module provides the two halves of that:
 //!
-//! * [`SummaryKeys`] — one 64-bit cache key per function,
+//! * [`SummaryKeys`] — one 64-bit key per function,
 //!
 //!   ```text
 //!   key(f) = H( scc_key(C_f) ∥ body(f) )
@@ -20,27 +19,32 @@
 //!   fold in transitively, editing one function changes the key of
 //!   exactly the functions that can *reach* it in the call graph — the
 //!   set whose summaries its edit can influence. Invalidation is thus
-//!   structural, not tracked: a stale entry simply stops matching.
+//!   structural, not tracked: a stale entry simply stops matching. The
+//!   key is the whole identity of a summary: a function's own name is
+//!   not part of it, so a renamed or duplicated function with an
+//!   unchanged body (and unchanged callees) finds its old summary.
 //!
-//! * [`SummaryCache`] — the on-disk artifact: a versioned, checksummed,
-//!   endianness-safe binary map `function name → (key, summary)`, written
-//!   with [`save`] and read with [`load`]. Any defect — truncation,
-//!   corruption, a version or constraint-config mismatch — surfaces as a
-//!   [`PersistError`] so callers can fall back to a cold solve; a cache
-//!   file can make a run *slower to load*, never wrong.
+//! * The **segment** — a versioned, checksummed, endianness-safe binary
+//!   `key → summary` map ([`SummaryMap`]) with no names. A
+//!   `--summary-cache` file is one segment holding one run's keys, sorted
+//!   by key and written atomically with [`save`], so it stays bounded and
+//!   byte-deterministic; the shared store ([`crate::store`]) keeps a
+//!   directory of them. Any defect — truncation, corruption, a version or
+//!   constraint-config mismatch, a file in another layout — surfaces as a
+//!   [`PersistError`] so callers can fall back to a cold solve; a
+//!   persisted summary can make a run *slower to load*, never wrong.
 //!
-//! # Format (version 1, all integers little-endian)
+//! # Segment format (version 1, all integers little-endian)
 //!
 //! ```text
 //! offset  size  field
-//!      0     8  magic  b"SRAASUMC"
+//!      0     8  magic  b"SRAASTOR"
 //!      8     2  format version (u16)
 //!     10     1  GenConfig encoding (bit0 extended, bit1 param_pairs,
 //!               bit2 range_offsets)
 //!     11     1  reserved (0)
 //!     12     4  entry count (u32)
-//!     16     …  entries: name_len u32, name bytes, key u64,
-//!               fact count u32, fact indices u32×n
+//!     16     …  entries: key u64, fact count u32, fact indices u32×n
 //!   last     8  FNV-1a checksum of every preceding byte
 //! ```
 
@@ -56,35 +60,32 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// must never be compared against a stored one).
 pub const FORMAT_VERSION: u16 = 1;
 
-const MAGIC: &[u8; 8] = b"SRAASUMC";
+const MAGIC: &[u8; 8] = b"SRAASTOR";
 /// Magic + version + config + reserved + count.
 const HEADER_LEN: usize = 16;
 const CHECKSUM_LEN: usize = 8;
+
+/// Content-addressed summaries, `key → summary` with no names: the
+/// per-module prior a warm run reads, and the shape of one shared-store
+/// shard.
+pub type SummaryMap = HashMap<u64, FunctionSummary>;
 
 pub(crate) fn encode_gen_config(cfg: GenConfig) -> u8 {
     (cfg.extended as u8) | (cfg.param_pairs as u8) << 1 | (cfg.range_offsets as u8) << 2
 }
 
-/// Per-function summary-cache keys for one module, propagated bottom-up
-/// over the call-graph condensation (see the module docs for the scheme).
+/// Per-function summary keys for one module, propagated bottom-up over
+/// the call-graph condensation (see the module docs for the scheme).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SummaryKeys {
     per_func: Vec<u64>,
 }
 
 impl SummaryKeys {
-    /// Computes every function's key. The module must be in its final
-    /// (e-SSA) form — the same form summaries are computed on.
-    pub fn compute(module: &Module) -> Self {
-        let cg = CallGraph::build(module);
-        let cond = cg.condense();
-        Self::compute_with(module, &cg, &cond)
-    }
-
-    /// [`SummaryKeys::compute`] with a caller-provided call graph and
-    /// condensation, so a warm run that already built them (the summary
-    /// engine does) pays for them once.
-    pub fn compute_with(module: &Module, cg: &CallGraph, cond: &Condensation) -> Self {
+    /// Computes every function's key over the summary phase's call graph
+    /// and condensation. The module must be in its final (e-SSA) form —
+    /// the same form summaries are computed on.
+    pub(crate) fn compute(module: &Module, cg: &CallGraph, cond: &Condensation) -> Self {
         let bodies: Vec<u64> = (0..module.num_functions())
             .map(|i| body_fingerprint(module, FuncId::from_index(i)))
             .collect();
@@ -137,24 +138,14 @@ impl SummaryKeys {
         SummaryKeys { per_func }
     }
 
-    /// The cache key of function `f`.
+    /// The key of function `f`.
     pub fn of(&self, f: FuncId) -> u64 {
         self.per_func[f.index()]
     }
-
-    /// Number of functions covered.
-    pub fn len(&self) -> usize {
-        self.per_func.len()
-    }
-
-    /// Whether the module had no functions.
-    pub fn is_empty(&self) -> bool {
-        self.per_func.is_empty()
-    }
 }
 
-/// Why a cache file could not be used. Every variant is a *fall back to
-/// cold* signal, never a panic.
+/// Why a persisted file could not be used. Every variant is a *fall back
+/// to cold* signal, never a panic.
 #[derive(Debug)]
 pub enum PersistError {
     /// The file could not be read (includes not-found; callers that treat
@@ -201,70 +192,20 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// A loaded summary cache: `function name → (key, summary)`.
-#[derive(Clone, Debug, Default)]
-pub struct SummaryCache {
-    entries: HashMap<String, (u64, FunctionSummary)>,
-}
-
-impl SummaryCache {
-    /// Builds an **in-memory** cache from freshly computed summaries and
-    /// keys — the resident-daemon path, where the cache round-trips
-    /// between builds without touching a file. Equivalent to
-    /// `from_bytes(&to_bytes(module, summaries, keys, cfg), cfg)` minus
-    /// the serialization.
-    pub fn from_parts(module: &Module, summaries: &ModuleSummaries, keys: &SummaryKeys) -> Self {
-        let entries = module
-            .functions()
-            .map(|(fid, f)| (f.name.clone(), (keys.of(fid), summaries.of(fid).clone())))
-            .collect();
-        SummaryCache { entries }
-    }
-
-    /// The stored `(key, summary)` for `name`, if present.
-    pub fn get(&self, name: &str) -> Option<(u64, &FunctionSummary)> {
-        self.entries.get(name).map(|(k, s)| (*k, s))
-    }
-
-    /// The stored summary for `name`, provided its key matches `key`.
-    pub fn lookup(&self, name: &str, key: u64) -> Option<&FunctionSummary> {
-        match self.entries.get(name) {
-            Some((k, s)) if *k == key => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Number of cached functions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// Serializes the summaries + keys of `module` into the version-1 byte
-/// format. Deterministic: entries are written in [`FuncId`] order and the
-/// result is byte-identical across runs and platforms.
-pub fn to_bytes(
-    module: &Module,
-    summaries: &ModuleSummaries,
-    keys: &SummaryKeys,
-    cfg: GenConfig,
+/// Encodes `entries` as one segment, in the order given.
+pub(crate) fn encode_segment<'a>(
+    entries: impl ExactSizeIterator<Item = (u64, &'a FunctionSummary)>,
+    cfg_byte: u8,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + 32 * module.num_functions() + CHECKSUM_LEN);
+    let mut out = Vec::with_capacity(HEADER_LEN + 16 * entries.len() + CHECKSUM_LEN);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.push(encode_gen_config(cfg));
+    out.push(cfg_byte);
     out.push(0);
-    out.extend_from_slice(&(module.num_functions() as u32).to_le_bytes());
-    for (fid, f) in module.functions() {
-        out.extend_from_slice(&(f.name.len() as u32).to_le_bytes());
-        out.extend_from_slice(f.name.as_bytes());
-        out.extend_from_slice(&keys.of(fid).to_le_bytes());
-        let facts = summaries.of(fid).args_lt_ret();
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for (key, summary) in entries {
+        out.extend_from_slice(&key.to_le_bytes());
+        let facts = summary.args_lt_ret();
         out.extend_from_slice(&(facts.len() as u32).to_le_bytes());
         for &j in facts {
             out.extend_from_slice(&j.to_le_bytes());
@@ -276,9 +217,12 @@ pub fn to_bytes(
     out
 }
 
-/// Parses a version-1 cache, verifying magic, version, checksum and the
+/// Parses one segment, verifying magic, version, checksum and the
 /// constraint-generation options it was written under.
-pub fn from_bytes(bytes: &[u8], cfg: GenConfig) -> Result<SummaryCache, PersistError> {
+pub(crate) fn decode_segment(
+    bytes: &[u8],
+    cfg_byte: u8,
+) -> Result<Vec<(u64, FunctionSummary)>, PersistError> {
     if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
         return Err(PersistError::Truncated);
     }
@@ -295,61 +239,57 @@ pub fn from_bytes(bytes: &[u8], cfg: GenConfig) -> Result<SummaryCache, PersistE
     if h.finish().to_le_bytes() != tail {
         return Err(PersistError::Corrupted("checksum mismatch"));
     }
-    if bytes[10] != encode_gen_config(cfg) {
+    if bytes[10] != cfg_byte {
         return Err(PersistError::ConfigMismatch);
     }
-
-    let mut cur = Cursor { bytes: payload, at: HEADER_LEN };
     let count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
     // The FNV checksum is integrity, not authentication: a crafted file
     // can carry any count it likes, so bound it by what the payload
-    // could possibly hold (an entry is ≥ 16 bytes) before allocating —
+    // could possibly hold (an entry is ≥ 12 bytes) before allocating —
     // a defective file must fall back to cold, never abort on OOM.
-    if count > (payload.len() - HEADER_LEN) / 16 {
+    if count > (payload.len() - HEADER_LEN) / 12 {
         return Err(PersistError::Corrupted("entry count exceeds payload"));
     }
-    let mut entries = HashMap::with_capacity(count);
+    let mut cur = Cursor { bytes: payload, at: HEADER_LEN };
+    let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
-        let name_len = cur.u32()? as usize;
-        let name = std::str::from_utf8(cur.take(name_len)?)
-            .map_err(|_| PersistError::Corrupted("non-UTF-8 function name"))?
-            .to_owned();
         let key = cur.u64()?;
         let nfacts = cur.u32()? as usize;
         let mut facts = Vec::with_capacity(nfacts.min(1024));
         for _ in 0..nfacts {
             facts.push(cur.u32()?);
         }
-        let summary = FunctionSummary { args_lt_ret: facts.into() };
-        if entries.insert(name, (key, summary)).is_some() {
-            return Err(PersistError::Corrupted("duplicate function name"));
-        }
+        entries.push((key, FunctionSummary { args_lt_ret: facts.into() }));
     }
     if cur.at != payload.len() {
         return Err(PersistError::Corrupted("trailing bytes after entries"));
     }
-    Ok(SummaryCache { entries })
+    Ok(entries)
 }
 
-/// Writes the cache file for `module` at `path` atomically
-/// (write-temp-then-rename via `write_atomic`). Two processes healing
-/// or refreshing the same cache concurrently each publish a complete
-/// file — a reader can observe either version, never an interleaving.
-pub fn save(
-    path: &Path,
-    module: &Module,
-    summaries: &ModuleSummaries,
-    keys: &SummaryKeys,
-    cfg: GenConfig,
-) -> std::io::Result<()> {
-    write_atomic(path, &to_bytes(module, summaries, keys, cfg))
+/// Writes `summaries` to `path` as one segment: every key of the run
+/// once, sorted by key, so the file is bounded by the module and
+/// byte-identical across runs and platforms. Atomic (write-temp-then-
+/// rename via `write_atomic`): two processes healing or refreshing the
+/// same file concurrently each publish a complete file — a reader can
+/// observe either version, never an interleaving.
+pub fn save(path: &Path, summaries: &ModuleSummaries, cfg: GenConfig) -> std::io::Result<()> {
+    let mut entries: Vec<(u64, &FunctionSummary)> = summaries.entries().collect();
+    entries.sort_unstable_by_key(|&(k, _)| k);
+    entries.dedup_by_key(|&mut (k, _)| k);
+    write_atomic(path, &encode_segment(entries.into_iter(), encode_gen_config(cfg)))
+}
+
+/// Reads the segment at `path` as a prior for the next run.
+pub fn load(path: &Path, cfg: GenConfig) -> Result<SummaryMap, PersistError> {
+    let bytes = std::fs::read(path).map_err(PersistError::Io)?;
+    Ok(decode_segment(&bytes, encode_gen_config(cfg))?.into_iter().collect())
 }
 
 /// Atomically replaces `path` with `bytes`: the bytes are written to a
 /// uniquely named temporary file in the *same directory* (rename is only
-/// atomic within a filesystem) and renamed over the target. Used by the
-/// cache rewrite above and by the shared store's segment writer
-/// ([`crate::store`]).
+/// atomic within a filesystem) and renamed over the target. Used by
+/// [`save`] and by the shared store's segment writer ([`crate::store`]).
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = match path.parent() {
@@ -371,21 +311,14 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     })
 }
 
-/// Reads and parses the cache file at `path`.
-pub fn load(path: &Path, cfg: GenConfig) -> Result<SummaryCache, PersistError> {
-    let bytes = std::fs::read(path).map_err(PersistError::Io)?;
-    from_bytes(&bytes, cfg)
-}
-
-/// Bounds-checked little-endian reader over the payload. Shared with the
-/// segment decoder in [`crate::store`].
-pub(crate) struct Cursor<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) at: usize,
+/// Bounds-checked little-endian reader over a segment payload.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
         let end = self.at.checked_add(n).ok_or(PersistError::Truncated)?;
         if end > self.bytes.len() {
             return Err(PersistError::Truncated);
@@ -395,11 +328,11 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, PersistError> {
+    fn u32(&mut self) -> Result<u32, PersistError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, PersistError> {
+    fn u64(&mut self) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 }
@@ -407,23 +340,16 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SolverKind;
+    use crate::engine::EngineConfig;
     use crate::var_index::VarIndex;
 
-    fn cold(src: &str) -> (Module, ModuleSummaries, SummaryKeys) {
+    fn cold(src: &str) -> (Module, ModuleSummaries) {
         let mut m = sraa_minic::compile(src).unwrap();
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
-        let sums = ModuleSummaries::compute(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            SolverKind::Scc.solver(),
-            crate::jobs::Jobs::default(),
-        );
-        let keys = SummaryKeys::compute(&m);
-        (m, sums, keys)
+        let (sums, ..) =
+            ModuleSummaries::compute(&m, &ranges, &index, &EngineConfig::default(), None, None);
+        (m, sums)
     }
 
     const SRC: &str = r#"
@@ -432,92 +358,75 @@ mod tests {
         int main() { return twice(1); }
     "#;
 
-    #[test]
-    fn round_trips_and_is_deterministic() {
-        let (m, sums, keys) = cold(SRC);
-        let bytes = to_bytes(&m, &sums, &keys, GenConfig::default());
-        let again = {
-            let (m2, s2, k2) = cold(SRC);
-            to_bytes(&m2, &s2, &k2, GenConfig::default())
-        };
-        assert_eq!(bytes, again, "serialization must be byte-identical across runs");
+    fn summary(facts: &[u32]) -> FunctionSummary {
+        FunctionSummary { args_lt_ret: facts.to_vec().into() }
+    }
 
-        let cache = from_bytes(&bytes, GenConfig::default()).expect("round trip");
-        assert_eq!(cache.len(), 3);
-        for (fid, f) in m.functions() {
-            let (key, summary) = cache.get(&f.name).expect("entry present");
-            assert_eq!(key, keys.of(fid));
-            assert_eq!(summary, sums.of(fid));
-            assert!(cache.lookup(&f.name, key).is_some());
-            assert!(cache.lookup(&f.name, key ^ 1).is_none(), "stale keys must not match");
-        }
+    fn reseal(bytes: &mut [u8]) {
+        let last = bytes.len() - CHECKSUM_LEN;
+        let mut h = Fnv64::new();
+        h.write(&bytes[..last]);
+        let sum = h.finish().to_le_bytes();
+        bytes[last..].copy_from_slice(&sum);
     }
 
     #[test]
     fn keys_change_exactly_for_reverse_reachable_functions() {
-        let (m1, _, k1) = cold(SRC);
-        let (m2, _, k2) = cold(&SRC.replace("i + 1", "i + 2"));
+        let (m1, s1) = cold(SRC);
+        let (m2, s2) = cold(&SRC.replace("i + 1", "i + 2"));
+        let (k1, k2) = (s1.keys(), s2.keys());
         // Editing `next` re-keys next, twice and main (all reach it) …
         for name in ["next", "twice", "main"] {
             let f = m1.function_by_name(name).unwrap();
             assert_ne!(k1.of(f), k2.of(f), "{name} must be invalidated");
         }
         // … while editing `main` re-keys only main.
-        let (m3, _, k3) = cold(&SRC.replace("twice(1)", "twice(2)"));
+        let (m3, s3) = cold(&SRC.replace("twice(1)", "twice(2)"));
         for name in ["next", "twice"] {
             let f = m1.function_by_name(name).unwrap();
-            assert_eq!(k1.of(f), k3.of(f), "{name} must stay valid");
+            assert_eq!(k1.of(f), s3.keys().of(f), "{name} must stay valid");
         }
         let main = m1.function_by_name("main").unwrap();
-        assert_ne!(k1.of(main), k3.of(main));
+        assert_ne!(k1.of(main), s3.keys().of(main));
         assert_eq!((m2.num_functions(), m3.num_functions()), (3, 3));
-        assert_eq!(k1.len(), 3);
-        assert!(!k1.is_empty());
     }
 
     #[test]
-    fn defective_files_are_rejected_not_panicked_on() {
-        let (m, sums, keys) = cold(SRC);
-        let good = to_bytes(&m, &sums, &keys, GenConfig::default());
+    fn segment_bytes_round_trip_and_reject_defects() {
+        let entries = vec![(7u64, summary(&[0, 2])), (u64::MAX, summary(&[])), (42, summary(&[1]))];
+        let cfg = encode_gen_config(GenConfig::default());
+        let bytes = encode_segment(entries.iter().map(|(k, s)| (*k, s)), cfg);
+        assert_eq!(decode_segment(&bytes, cfg).unwrap(), entries);
 
         // Truncations at every prefix length parse-fail cleanly.
-        for cut in 0..good.len() {
-            assert!(from_bytes(&good[..cut], GenConfig::default()).is_err(), "prefix {cut}");
+        for cut in 0..bytes.len() {
+            assert!(decode_segment(&bytes[..cut], cfg).is_err(), "prefix {cut}");
         }
         // Any single flipped bit is caught (checksum or field checks).
-        for at in [0, 9, HEADER_LEN + 3, good.len() - 2] {
-            let mut bad = good.clone();
-            bad[at] ^= 0x40;
-            assert!(from_bytes(&bad, GenConfig::default()).is_err(), "flip at {at}");
+        for at in [0, 9, HEADER_LEN + 1, bytes.len() - 3] {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x10;
+            assert!(decode_segment(&bad, cfg).is_err(), "flip at {at}");
         }
+        // A different GenConfig is a mismatch, not a silent reuse.
+        assert!(matches!(decode_segment(&bytes, cfg ^ 1), Err(PersistError::ConfigMismatch)));
         // A hostile entry count with a re-sealed (non-cryptographic)
         // checksum must be rejected before allocation, not abort on OOM.
-        let mut hostile = good.clone();
+        let mut hostile = bytes.clone();
         hostile[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        let last = hostile.len() - CHECKSUM_LEN;
-        let mut h = Fnv64::new();
-        h.write(&hostile[..last]);
-        let sum = h.finish().to_le_bytes();
-        hostile[last..].copy_from_slice(&sum);
+        reseal(&mut hostile);
         assert!(matches!(
-            from_bytes(&hostile, GenConfig::default()),
+            decode_segment(&hostile, cfg),
             Err(PersistError::Corrupted("entry count exceeds payload"))
         ));
         // A future format version is refused with the right variant.
-        let mut vnext = good.clone();
+        let mut vnext = bytes.clone();
         vnext[8..10].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        let last = vnext.len() - CHECKSUM_LEN;
-        let mut h = Fnv64::new();
-        h.write(&vnext[..last]);
-        let sum = h.finish().to_le_bytes();
-        vnext[last..].copy_from_slice(&sum);
+        reseal(&mut vnext);
         assert!(matches!(
-            from_bytes(&vnext, GenConfig::default()),
+            decode_segment(&vnext, cfg),
             Err(PersistError::VersionMismatch { found }) if found == FORMAT_VERSION + 1
         ));
-        // A different GenConfig is a mismatch, not a silent reuse.
-        let other = GenConfig { range_offsets: true, ..Default::default() };
-        assert!(matches!(from_bytes(&good, other), Err(PersistError::ConfigMismatch)));
         // Errors render human-readably and `is_not_found` is precise.
         assert!(!PersistError::Truncated.is_not_found());
         assert!(PersistError::Io(std::io::Error::from(std::io::ErrorKind::NotFound)).is_not_found());
@@ -532,42 +441,42 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_matches_a_serialization_round_trip() {
-        let (m, sums, keys) = cold(SRC);
-        let direct = SummaryCache::from_parts(&m, &sums, &keys);
-        let round =
-            from_bytes(&to_bytes(&m, &sums, &keys, GenConfig::default()), GenConfig::default())
-                .expect("round trip");
-        assert_eq!(direct.len(), round.len());
-        for (fid, f) in m.functions() {
-            assert_eq!(direct.get(&f.name), round.get(&f.name));
-            assert_eq!(direct.lookup(&f.name, keys.of(fid)), Some(sums.of(fid)));
-        }
-    }
+    fn save_writes_one_sorted_deterministic_segment() {
+        // `next` and `nxt` have identical bodies and no callees: one key,
+        // so the file holds one entry for the pair.
+        let src = format!("int nxt(int i) {{ return i + 1; }}\n{SRC}");
+        let (m, sums) = cold(&src);
+        let dir = std::env::temp_dir().join(format!("sraa_persist_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("summaries.bin");
+        save(&path, &sums, GenConfig::default()).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let decoded = decode_segment(&bytes, encode_gen_config(GenConfig::default())).unwrap();
+        assert_eq!(decoded.len(), 3, "four functions, three distinct keys");
+        assert!(decoded.windows(2).all(|w| w[0].0 < w[1].0), "entries sorted by key");
+        let again = cold(&src).1;
+        save(&path, &again, GenConfig::default()).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "byte-identical across runs");
 
-    #[test]
-    fn save_and_load_round_trip_through_a_file() {
-        let (m, sums, keys) = cold(SRC);
-        let path = std::env::temp_dir().join(format!("sraa_persist_{}.bin", std::process::id()));
-        save(&path, &m, &sums, &keys, GenConfig::default()).unwrap();
-        let cache = load(&path, GenConfig::default()).expect("load back");
-        assert_eq!(cache.len(), 3);
+        let prior = load(&path, GenConfig::default()).expect("load back");
+        for (f, s) in sums.iter() {
+            assert_eq!(prior.get(&sums.keys().of(f)), Some(s), "{}", m.function(f).name);
+        }
         let missing = load(Path::new("/nonexistent/sraa.cache"), GenConfig::default());
         assert!(matches!(&missing, Err(e) if e.is_not_found()));
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The torn-write regression (satellite of the shared-store PR): a
-    /// cache truncated mid-file — the observable state an interrupted
-    /// in-place rewrite used to leave behind — must load-fail cleanly,
-    /// and the atomic rewrite must heal it without leaving temp litter.
+    /// A file torn mid-write — the observable state an interrupted
+    /// in-place rewrite would leave behind — must load-fail cleanly, and
+    /// the atomic rewrite must heal it without leaving temp litter.
     #[test]
     fn torn_cache_file_reloads_cleanly_and_heals_atomically() {
-        let (m, sums, keys) = cold(SRC);
+        let (_, sums) = cold(SRC);
         let dir = std::env::temp_dir().join(format!("sraa_torn_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("summaries.bin");
-        save(&path, &m, &sums, &keys, GenConfig::default()).unwrap();
+        save(&path, &sums, GenConfig::default()).unwrap();
         let full = std::fs::read(&path).unwrap();
 
         // Tear the file at every interesting cut point and reload.
@@ -575,7 +484,7 @@ mod tests {
             std::fs::write(&path, &full[..cut]).unwrap();
             assert!(load(&path, GenConfig::default()).is_err(), "torn at {cut} must not parse");
             // Healing is a fresh atomic save over the torn file.
-            save(&path, &m, &sums, &keys, GenConfig::default()).unwrap();
+            save(&path, &sums, GenConfig::default()).unwrap();
             assert_eq!(load(&path, GenConfig::default()).unwrap().len(), 3, "healed at {cut}");
         }
 

@@ -63,13 +63,13 @@ pub struct SolveStats {
     /// the initial solve plus any parameter-pair refinement re-solves.
     /// Excluded from equality.
     pub final_solve_ns: u64,
-    /// Warm-run summary-cache hits (functions reused; see
-    /// [`CacheOutcome`](crate::CacheOutcome)). 0 without `--summary-cache`.
+    /// Warm-run summary-cache hits (functions whose key is in the
+    /// prior; see [`CacheOutcome`](crate::CacheOutcome)). 0 without
+    /// `--summary-cache` or a daemon prior.
     pub cache_hits: u32,
-    /// Warm-run summary-cache misses (functions absent from the cache).
+    /// Warm-run summary-cache misses (functions whose key is not in the
+    /// prior: new or edited).
     pub cache_misses: u32,
-    /// Warm-run summary-cache invalidations (entries whose key changed).
-    pub cache_invalidated: u32,
     /// Shared-store hits (functions whose content-addressed key was
     /// already solved by *any* module or process publishing into the
     /// store). 0 without `--shared-store`.
@@ -113,14 +113,12 @@ impl PartialEq for SolveStats {
         ) && (
             self.cache_hits,
             self.cache_misses,
-            self.cache_invalidated,
             self.store_hits,
             self.store_misses,
             self.store_published,
         ) == (
             other.cache_hits,
             other.cache_misses,
-            other.cache_invalidated,
             other.store_hits,
             other.store_misses,
             other.store_published,

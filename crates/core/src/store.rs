@@ -1,14 +1,14 @@
 //! Content-addressed **shared summary store** — cross-module,
 //! cross-process reuse of interprocedural summaries.
 //!
-//! The persistent cache ([`crate::persist`]) is per-module-*name*: it maps
-//! `function name → (key, summary)` and helps exactly the next run over
-//! the same file. But the cache key itself —
-//! `key(f) = H(scc_key(C_f) ∥ body(f))` — already identifies a function
-//! by its *content* plus the content of everything it can call, so two
-//! different modules (or two builds on two machines sharing a directory)
-//! that contain the same helper compute the same key and could share the
-//! solved summary. This module provides that sharing surface:
+//! A summary key — `key(f) = H(scc_key(C_f) ∥ body(f))`, see
+//! [`crate::persist`] — identifies a function by its *content* plus the
+//! content of everything it can call, so two different modules (or two
+//! builds on two machines sharing a directory) that contain the same
+//! helper compute the same key and can share the solved summary. The
+//! per-module `--summary-cache` file is one segment holding one run's
+//! keys; the store is a directory of segments that any number of modules
+//! and processes append to:
 //!
 //! ```text
 //!                   SharedSummaryStore (one directory)
@@ -45,47 +45,24 @@
 //! every entry they carried is in the compacted one, and entries are
 //! immutable).
 //!
-//! # On-disk segment format (all integers little-endian)
-//!
-//! Reuses the `persist` idioms — magic, [`FORMAT_VERSION`] (the key
-//! scheme is shared, so a scheme bump invalidates both artifacts), the
-//! [`GenConfig`] byte, and a trailing FNV-1a checksum:
-//!
-//! ```text
-//! offset  size  field
-//!      0     8  magic  b"SRAASTOR"
-//!      8     2  format version (u16, same FORMAT_VERSION as the cache)
-//!     10     1  GenConfig encoding
-//!     11     1  reserved (0)
-//!     12     4  entry count (u32)
-//!     16     …  entries: key u64, fact count u32, fact indices u32×n
-//!   last     8  FNV-1a checksum of every preceding byte
-//! ```
-//!
-//! No function names: entries are content-addressed, the key *is* the
-//! identity. A defective segment (torn, corrupted, wrong version or
-//! config) is skipped, never trusted — the store can only make a run
-//! faster, not wrong.
+//! Segments use the one format documented in [`crate::persist`]. A
+//! defective segment (torn, corrupted, wrong version or config) is
+//! skipped, never trusted — the store can only make a run faster, not
+//! wrong.
 
 use crate::constraints::GenConfig;
-use crate::persist::{self, Cursor, PersistError, FORMAT_VERSION};
+use crate::persist::{self, decode_segment, encode_segment, SummaryMap};
 use crate::summary::FunctionSummary;
-use sraa_ir::Fnv64;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-const SEG_MAGIC: &[u8; 8] = b"SRAASTOR";
-/// Magic + version + config + reserved + count.
-const SEG_HEADER_LEN: usize = 16;
-const CHECKSUM_LEN: usize = 8;
 /// Segment file extension (with the leading dot).
 const SEG_SUFFIX: &str = ".sraaseg";
 /// Loading this many segments triggers a compaction.
 const COMPACT_THRESHOLD: usize = 16;
-/// Power of two, so shard selection is a mask (the engine's pair-cache
-/// idiom).
+/// Power of two, so shard selection is a mask.
 const STORE_SHARDS: usize = 16;
 
 /// How a solve used the shared store, counted per *function* — the
@@ -129,7 +106,7 @@ pub struct SharedSummaryStore {
     cfg_byte: u8,
     /// Lock-striped index: shard = low key bits, so concurrent merges of
     /// unrelated keys do not serialize on one lock.
-    shards: [RwLock<HashMap<u64, FunctionSummary>>; STORE_SHARDS],
+    shards: [RwLock<SummaryMap>; STORE_SHARDS],
     /// Segment file names already folded into the index.
     seen: Mutex<HashSet<String>>,
     /// Highest generation observed in the directory; new segments are
@@ -154,7 +131,7 @@ impl SharedSummaryStore {
         let store = SharedSummaryStore {
             dir,
             cfg_byte: persist::encode_gen_config(cfg),
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            shards: std::array::from_fn(|_| RwLock::new(SummaryMap::new())),
             seen: Mutex::new(HashSet::new()),
             generation: AtomicU64::new(0),
             seq: AtomicU64::new(0),
@@ -262,17 +239,26 @@ impl SharedSummaryStore {
         if fresh.is_empty() {
             return Ok(0);
         }
+        let name = self.write_segment(fresh.iter().map(|(k, s)| (*k, s)))?;
+        // Our own segment is already folded in.
+        self.seen.lock().unwrap_or_else(|e| e.into_inner()).insert(name);
+        Ok(fresh.len())
+    }
+
+    /// Writes `entries` as a new segment at the next generation and
+    /// returns its file name.
+    fn write_segment<'a>(
+        &self,
+        entries: impl ExactSizeIterator<Item = (u64, &'a FunctionSummary)>,
+    ) -> std::io::Result<String> {
         let gen = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
         let name = format!(
             "seg-{gen:016x}-{:08x}-{:04x}{SEG_SUFFIX}",
             std::process::id(),
             self.seq.fetch_add(1, Ordering::Relaxed)
         );
-        let bytes = encode_segment(fresh.iter().map(|(k, s)| (*k, s)), self.cfg_byte);
-        persist::write_atomic(&self.dir.join(&name), &bytes)?;
-        // Our own segment is already folded in.
-        self.seen.lock().unwrap_or_else(|e| e.into_inner()).insert(name);
-        Ok(fresh.len())
+        persist::write_atomic(&self.dir.join(&name), &encode_segment(entries, self.cfg_byte))?;
+        Ok(name)
     }
 
     /// Number of summaries resident in the index.
@@ -311,16 +297,9 @@ impl SharedSummaryStore {
         }
         // Deterministic segment bytes for a given index state.
         all.sort_unstable_by_key(|&(k, _)| k);
-        let gen = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        let name = format!(
-            "seg-{gen:016x}-{:08x}-{:04x}{SEG_SUFFIX}",
-            std::process::id(),
-            self.seq.fetch_add(1, Ordering::Relaxed)
-        );
-        let bytes = encode_segment(all.iter().map(|(k, s)| (*k, s)), self.cfg_byte);
-        if persist::write_atomic(&self.dir.join(&name), &bytes).is_err() {
+        let Ok(name) = self.write_segment(all.iter().map(|(k, s)| (*k, s))) else {
             return; // compaction is an optimisation; keep the segments
-        }
+        };
         let mut seen = self.seen.lock().unwrap_or_else(|e| e.into_inner());
         seen.insert(name);
         for old in doomed {
@@ -341,73 +320,6 @@ fn parse_generation(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-fn encode_segment<'a>(
-    entries: impl ExactSizeIterator<Item = (u64, &'a FunctionSummary)>,
-    cfg_byte: u8,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SEG_HEADER_LEN + 16 * entries.len() + CHECKSUM_LEN);
-    out.extend_from_slice(SEG_MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.push(cfg_byte);
-    out.push(0);
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (key, summary) in entries {
-        out.extend_from_slice(&key.to_le_bytes());
-        let facts = summary.args_lt_ret();
-        out.extend_from_slice(&(facts.len() as u32).to_le_bytes());
-        for &j in facts {
-            out.extend_from_slice(&j.to_le_bytes());
-        }
-    }
-    let mut h = Fnv64::new();
-    h.write(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
-    out
-}
-
-fn decode_segment(bytes: &[u8], cfg_byte: u8) -> Result<Vec<(u64, FunctionSummary)>, PersistError> {
-    if bytes.len() < SEG_HEADER_LEN + CHECKSUM_LEN {
-        return Err(PersistError::Truncated);
-    }
-    if &bytes[0..8] != SEG_MAGIC {
-        return Err(PersistError::Corrupted("bad magic"));
-    }
-    let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-    if version != FORMAT_VERSION {
-        return Err(PersistError::VersionMismatch { found: version });
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-    let mut h = Fnv64::new();
-    h.write(payload);
-    if h.finish().to_le_bytes() != tail {
-        return Err(PersistError::Corrupted("checksum mismatch"));
-    }
-    if bytes[10] != cfg_byte {
-        return Err(PersistError::ConfigMismatch);
-    }
-    let count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-    // Same hostile-count guard as the cache parser: bound the allocation
-    // by what the payload could possibly hold (an entry is ≥ 12 bytes).
-    if count > (payload.len() - SEG_HEADER_LEN) / 12 {
-        return Err(PersistError::Corrupted("entry count exceeds payload"));
-    }
-    let mut cur = Cursor { bytes: payload, at: SEG_HEADER_LEN };
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let key = cur.u64()?;
-        let nfacts = cur.u32()? as usize;
-        let mut facts = Vec::with_capacity(nfacts.min(1024));
-        for _ in 0..nfacts {
-            facts.push(cur.u32()?);
-        }
-        entries.push((key, FunctionSummary { args_lt_ret: facts.into() }));
-    }
-    if cur.at != payload.len() {
-        return Err(PersistError::Corrupted("trailing bytes after entries"));
-    }
-    Ok(entries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,36 +332,6 @@ mod tests {
         let d = std::env::temp_dir().join(format!("sraa_store_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&d).ok();
         d
-    }
-
-    #[test]
-    fn segment_bytes_round_trip_and_reject_defects() {
-        let entries = vec![(7u64, summary(&[0, 2])), (u64::MAX, summary(&[])), (42, summary(&[1]))];
-        let cfg = persist::encode_gen_config(GenConfig::default());
-        let bytes = encode_segment(entries.iter().map(|(k, s)| (*k, s)), cfg);
-        assert_eq!(decode_segment(&bytes, cfg).unwrap(), entries);
-
-        for cut in 0..bytes.len() {
-            assert!(decode_segment(&bytes[..cut], cfg).is_err(), "prefix {cut}");
-        }
-        for at in [0, 9, SEG_HEADER_LEN + 1, bytes.len() - 3] {
-            let mut bad = bytes.clone();
-            bad[at] ^= 0x10;
-            assert!(decode_segment(&bad, cfg).is_err(), "flip at {at}");
-        }
-        assert!(matches!(decode_segment(&bytes, cfg ^ 1), Err(PersistError::ConfigMismatch)));
-        // Hostile count with a re-sealed checksum is rejected pre-allocation.
-        let mut hostile = bytes.clone();
-        hostile[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        let last = hostile.len() - CHECKSUM_LEN;
-        let mut h = Fnv64::new();
-        h.write(&hostile[..last]);
-        let sum = h.finish().to_le_bytes();
-        hostile[last..].copy_from_slice(&sum);
-        assert!(matches!(
-            decode_segment(&hostile, cfg),
-            Err(PersistError::Corrupted("entry count exceeds payload"))
-        ));
     }
 
     #[test]

@@ -51,9 +51,8 @@
 //! See ROADMAP "Open items".
 
 use crate::constraints::{self, Constraint, GenConfig};
-use crate::engine::FixpointSolver;
-use crate::jobs::Jobs;
-use crate::persist::{SummaryCache, SummaryKeys};
+use crate::engine::{EngineConfig, SolverKind};
+use crate::persist::{SummaryKeys, SummaryMap};
 use crate::store::{SharedSummaryStore, StoreOutcome};
 use crate::var_index::{VarId, VarIndex};
 use sraa_ir::{CallGraph, FuncId, InstKind, Module, Value};
@@ -120,28 +119,27 @@ pub struct SummaryStats {
     pub facts: usize,
 }
 
-/// How a warm run used the persistent summary cache, counted per
-/// *function* (every function of the module falls in exactly one bucket).
+/// How a warm run used its prior (the `--summary-cache` file, or the
+/// daemon's previous upload), counted per *function*: every function of
+/// the module is a hit or a miss.
 ///
-/// Deterministic for a given `(module, cache)` pair — the differential
-/// tests assert the exact counts against call-graph reverse reachability.
+/// Deterministic for a given `(module, prior)` pair: the misses are
+/// exactly `{ f : key(f) ∉ keys(prior) }`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheOutcome {
-    /// Functions whose cached key matched; their summaries were reused
+    /// Functions whose key is in the prior; their summaries were reused
     /// and their component's solve skipped.
     pub hits: u32,
-    /// Functions with no cache entry under their name.
+    /// Functions whose key is not in the prior: new, or edited (the
+    /// function, or something it can call, changed).
     pub misses: u32,
-    /// Functions whose entry exists but whose key changed (the function,
-    /// or something it can call, was edited).
-    pub invalidated: u32,
 }
 
 impl CacheOutcome {
     /// Hits over all classified functions, in `[0, 1]`; `1.0` for an
     /// empty module (nothing *missed*).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.invalidated;
+        let total = self.hits + self.misses;
         if total == 0 {
             1.0
         } else {
@@ -150,19 +148,35 @@ impl CacheOutcome {
     }
 }
 
-/// Per-function summaries for a whole module, in [`FuncId`] order.
+/// Per-function summaries for a whole module, in [`FuncId`] order, with
+/// the per-function keys they are persisted and shared under.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModuleSummaries {
     per_func: Vec<FunctionSummary>,
+    keys: SummaryKeys,
     /// Computation statistics (component counts, fixpoint iterations).
     pub stats: SummaryStats,
 }
 
 impl ModuleSummaries {
-    /// Computes all summaries bottom-up over the condensed call graph.
+    /// Computes all summaries bottom-up over the condensed call graph,
+    /// using `cfg`'s constraint options, solver and jobs.
     ///
     /// `module` must already be in e-SSA form with `ranges` computed for
     /// it (the same preconditions as constraint generation).
+    ///
+    /// **Warm path:** each member of a component is looked up once by its
+    /// [`SummaryKeys`] key — in `prior` first (a lock-free map), then in
+    /// `store` (content-addressed across modules and processes). A
+    /// component whose members all hit installs the found summaries and
+    /// skips its Init-grounded solve. Cold components solve as usual,
+    /// against the already-installed summaries of their callees, so the
+    /// result is *identical* to a run with neither source (up to
+    /// `stats.solves`, which records the work actually done; the
+    /// differential suite in `tests/incremental.rs` holds this to
+    /// byte-identical solutions). Publishing back into the store is the
+    /// caller's job ([`crate::DisambiguationEngine`] publishes every
+    /// entry after the solve; insert-if-absent makes that idempotent).
     ///
     /// The walk proceeds wavefront by wavefront over the Kahn
     /// levelization ([`sraa_ir::Condensation::layers`]): components in
@@ -174,99 +188,46 @@ impl ModuleSummaries {
     pub fn compute(
         module: &Module,
         ranges: &RangeAnalysis,
-        cfg: GenConfig,
         index: &VarIndex,
-        solver: &dyn FixpointSolver,
-        jobs: Jobs,
-    ) -> Self {
-        Self::compute_inner(module, ranges, cfg, index, solver, jobs, false, None, None).0
-    }
-
-    /// [`ModuleSummaries::compute`] with a **warm path**: components whose
-    /// members all hit the persistent `cache` (same name, same
-    /// [`SummaryKeys`] key) reuse their stored summaries and skip the
-    /// Init-grounded per-SCC solve entirely. Cold components solve as
-    /// usual — against the already-installed summaries of their callees,
-    /// cached or not — so the result is *identical* to a cold
-    /// [`ModuleSummaries::compute`] (up to `stats.solves`, which records
-    /// the work actually done; the differential suite in
-    /// `tests/incremental.rs` holds this to byte-identical solutions).
-    /// Computes (and returns) the [`SummaryKeys`] itself, sharing one
-    /// call-graph + condensation build with the solve loop; hand the
-    /// keys to [`crate::persist::save`] to refresh the cache afterwards.
-    pub fn compute_incremental(
-        module: &Module,
-        ranges: &RangeAnalysis,
-        cfg: GenConfig,
-        index: &VarIndex,
-        solver: &dyn FixpointSolver,
-        jobs: Jobs,
-        cache: Option<&SummaryCache>,
-    ) -> (Self, SummaryKeys, CacheOutcome) {
-        let (sums, keys, outcome, _) =
-            Self::compute_inner(module, ranges, cfg, index, solver, jobs, true, cache, None);
-        (sums, keys.expect("requested above"), outcome)
-    }
-
-    /// [`ModuleSummaries::compute_incremental`] with an additional
-    /// consultation of a content-addressed [`SharedSummaryStore`]: any
-    /// component the per-module `cache` could not satisfy is looked up in
-    /// the store by its [`SummaryKeys`] key before being solved cold. The
-    /// per-module cache wins when both would hit (it is free — no store
-    /// lock traffic), so the two compose: `--summary-cache` answers
-    /// "did *this* module change", the store answers "has *anyone*
-    /// already solved this exact function". Publishing back is the
-    /// caller's job ([`crate::DisambiguationEngine`] publishes every
-    /// `(key, summary)` pair after the solve; insert-if-absent makes that
-    /// idempotent).
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_incremental_shared(
-        module: &Module,
-        ranges: &RangeAnalysis,
-        cfg: GenConfig,
-        index: &VarIndex,
-        solver: &dyn FixpointSolver,
-        jobs: Jobs,
-        cache: Option<&SummaryCache>,
+        cfg: &EngineConfig,
+        prior: Option<&SummaryMap>,
         store: Option<&SharedSummaryStore>,
-    ) -> (Self, SummaryKeys, CacheOutcome, StoreOutcome) {
-        let (sums, keys, outcome, store_outcome) =
-            Self::compute_inner(module, ranges, cfg, index, solver, jobs, true, cache, store);
-        (sums, keys.expect("requested above"), outcome, store_outcome)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn compute_inner(
-        module: &Module,
-        ranges: &RangeAnalysis,
-        cfg: GenConfig,
-        index: &VarIndex,
-        solver: &dyn FixpointSolver,
-        jobs: Jobs,
-        want_keys: bool,
-        cache: Option<&SummaryCache>,
-        store: Option<&SharedSummaryStore>,
-    ) -> (Self, Option<SummaryKeys>, CacheOutcome, StoreOutcome) {
+    ) -> (Self, CacheOutcome, StoreOutcome) {
         let cg = CallGraph::build(module);
         let cond = cg.condense();
-        let keys = want_keys.then(|| SummaryKeys::compute_with(module, &cg, &cond));
-        let warm = cache.and_then(|c| keys.as_ref().map(|k| (k, c)));
-        let shared = store.and_then(|s| keys.as_ref().map(|k| (k, s)));
-        let jobs = jobs.get();
+        let jobs = cfg.jobs.get();
         let mut outcome = CacheOutcome::default();
         let mut store_outcome = StoreOutcome::default();
         let mut sums = ModuleSummaries {
             per_func: vec![FunctionSummary::default(); module.num_functions()],
+            keys: SummaryKeys::compute(module, &cg, &cond),
             stats: SummaryStats {
                 sccs: cond.len(),
                 recursive_sccs: cond.num_recursive(),
                 ..Default::default()
             },
         };
+        // One key lookup per member: the prior, then the store, with a
+        // hit or miss counted against each source consulted.
+        let mut lookup = |key: u64| {
+            if let Some(prior) = prior {
+                if let Some(s) = prior.get(&key) {
+                    outcome.hits += 1;
+                    return Some(s.clone());
+                }
+                outcome.misses += 1;
+            }
+            let found = store?.get(key);
+            match found {
+                Some(_) => store_outcome.hits += 1,
+                None => store_outcome.misses += 1,
+            }
+            found
+        };
 
         for layer in cond.layers() {
             // Warm path first, serially: an all-members hit installs the
-            // cached summaries and skips the solve — too cheap to pay a
+            // found summaries and skips the solve — too cheap to pay a
             // thread spawn for. Partial hits cannot happen within a
             // component (members are mutually reachable, so one edit
             // re-keys them all) short of a hash collision; if one ever
@@ -275,50 +236,16 @@ impl ModuleSummaries {
             for &ci in &layer {
                 let ci = ci as usize;
                 let members = cond.members(ci);
-                if let Some((keys, cache)) = warm {
-                    let mut all_hit = true;
-                    for &f in members {
-                        match cache.get(&module.function(f).name) {
-                            Some((k, _)) if k == keys.of(f) => outcome.hits += 1,
-                            Some(_) => {
-                                outcome.invalidated += 1;
-                                all_hit = false;
-                            }
-                            None => {
-                                outcome.misses += 1;
-                                all_hit = false;
-                            }
-                        }
-                    }
-                    if all_hit {
-                        for &f in members {
-                            let cached = cache
-                                .lookup(&module.function(f).name, keys.of(f))
-                                .expect("classified as hit above");
-                            sums.per_func[f.index()] = cached.clone();
-                        }
-                        continue;
-                    }
-                }
-                // Shared-store consult, after the per-module cache (a
-                // cache hit is free; the store takes a shard lock). The
-                // key is content-addressed across modules, so a hit here
-                // may come from a different module name, another daemon,
-                // or another machine. All-or-nothing per component, like
-                // the cache: members share a key-invalidation fate.
-                if let Some((keys, store)) = shared {
-                    let found: Option<Vec<FunctionSummary>> =
-                        members.iter().map(|&f| store.get(keys.of(f))).collect();
-                    if let Some(found) = found {
-                        store_outcome.hits += members.len() as u32;
+                let found: Vec<Option<FunctionSummary>> =
+                    members.iter().map(|&f| lookup(sums.keys.of(f))).collect();
+                match found.into_iter().collect::<Option<Vec<_>>>() {
+                    Some(found) => {
                         for (&f, s) in members.iter().zip(found) {
                             sums.per_func[f.index()] = s;
                         }
-                        continue;
                     }
-                    store_outcome.misses += members.len() as u32;
+                    None => cold.push(ci),
                 }
-                cold.push(ci);
             }
 
             // Cold components of one layer are mutually independent:
@@ -335,9 +262,9 @@ impl ModuleSummaries {
                 solve_scc(
                     module,
                     ranges,
-                    cfg,
+                    cfg.gen,
                     index,
-                    solver,
+                    cfg.solver,
                     cond.members(ci),
                     cond.is_recursive(ci),
                     &sums.per_func,
@@ -390,7 +317,7 @@ impl ModuleSummaries {
         }
 
         sums.stats.facts = sums.per_func.iter().map(FunctionSummary::facts).sum();
-        (sums, keys, outcome, store_outcome)
+        (sums, outcome, store_outcome)
     }
 
     /// The summary of function `f`.
@@ -406,6 +333,24 @@ impl ModuleSummaries {
     /// `(function, summary)` pairs in ascending [`FuncId`] order.
     pub fn iter(&self) -> impl Iterator<Item = (FuncId, &FunctionSummary)> {
         self.per_func.iter().enumerate().map(|(i, s)| (FuncId::from_index(i), s))
+    }
+
+    /// The key every function's summary is persisted and shared under.
+    pub fn keys(&self) -> &SummaryKeys {
+        &self.keys
+    }
+
+    /// These summaries as the prior of the next run over the same (or an
+    /// edited) module — the daemon's re-upload path.
+    pub fn prior(&self) -> SummaryMap {
+        self.entries().map(|(k, s)| (k, s.clone())).collect()
+    }
+
+    /// `(key, summary)` pairs in ascending [`FuncId`] order — what a
+    /// prior, a cache file or a store publish is made of. Functions with
+    /// identical keys repeat the same entry.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, &FunctionSummary)> {
+        self.iter().map(|(f, s)| (self.keys.of(f), s))
     }
 }
 
@@ -454,7 +399,7 @@ fn solve_scc(
     ranges: &RangeAnalysis,
     cfg: GenConfig,
     index: &VarIndex,
-    solver: &dyn FixpointSolver,
+    solver: SolverKind,
     members: &[FuncId],
     recursive: bool,
     base: &[FunctionSummary],
@@ -596,21 +541,14 @@ impl SccSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SolverKind;
     use crate::jobs::Jobs;
 
     fn summaries(src: &str) -> (Module, ModuleSummaries) {
         let mut m = sraa_minic::compile(src).unwrap();
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
-        let sums = ModuleSummaries::compute(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            SolverKind::Scc.solver(),
-            Jobs::default(),
-        );
+        let (sums, ..) =
+            ModuleSummaries::compute(&m, &ranges, &index, &EngineConfig::default(), None, None);
         (m, sums)
     }
 
@@ -738,7 +676,6 @@ mod tests {
 
     #[test]
     fn warm_run_reuses_every_summary_and_skips_all_solves() {
-        use crate::persist::{self, SummaryKeys};
         let src = r#"
             int next(int i) { return i + 1; }
             int twice(int i) { return next(next(i)); }
@@ -747,33 +684,15 @@ mod tests {
         let mut m = sraa_minic::compile(src).unwrap();
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
-        let solver = SolverKind::Scc.solver();
-        let cold = ModuleSummaries::compute(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            solver,
-            Jobs::default(),
-        );
-        let keys = SummaryKeys::compute(&m);
-        let cache = persist::from_bytes(
-            &persist::to_bytes(&m, &cold, &keys, GenConfig::default()),
-            GenConfig::default(),
-        )
-        .unwrap();
+        let cfg = EngineConfig::default();
+        let (cold, zero, _) = ModuleSummaries::compute(&m, &ranges, &index, &cfg, None, None);
+        assert_eq!(zero, CacheOutcome::default(), "no prior: nothing is classified");
+        let prior = cold.prior();
 
-        let (warm, warm_keys, outcome) = ModuleSummaries::compute_incremental(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            solver,
-            Jobs::default(),
-            Some(&cache),
-        );
-        assert_eq!(warm_keys, keys, "keys must not depend on who builds the condensation");
-        assert_eq!((outcome.hits, outcome.misses, outcome.invalidated), (3, 0, 0));
+        let (warm, outcome, _) =
+            ModuleSummaries::compute(&m, &ranges, &index, &cfg, Some(&prior), None);
+        assert_eq!(warm.keys(), cold.keys());
+        assert_eq!((outcome.hits, outcome.misses), (3, 0));
         assert_eq!(outcome.hit_rate(), 1.0);
         assert_eq!(warm.stats.solves, 0, "an all-hit warm run must not solve anything");
         for (f, s) in cold.iter() {
@@ -781,18 +700,13 @@ mod tests {
         }
         assert_eq!(warm.facts(), cold.facts());
 
-        // Without a cache, the incremental entry point is exactly `compute`.
-        let (cold2, _, zero) = ModuleSummaries::compute_incremental(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            solver,
-            Jobs::default(),
-            None,
-        );
+        // An empty prior classifies every function as a miss and solves
+        // exactly what a run without one does.
+        let (cold2, missed, _) =
+            ModuleSummaries::compute(&m, &ranges, &index, &cfg, Some(&SummaryMap::new()), None);
         assert_eq!(cold2, cold);
-        assert_eq!(zero, CacheOutcome::default());
+        assert_eq!((missed.hits, missed.misses), (0, 3));
+        assert_eq!(missed.hit_rate(), 0.0);
     }
 
     /// A module wide enough that jobs > 1 genuinely takes the
@@ -835,9 +749,9 @@ mod tests {
             total_insts >= WAVEFRONT_MIN_INSTRUCTIONS,
             "test module too small ({total_insts} insts) to exercise the parallel branch"
         );
-        let solver = SolverKind::Scc.solver();
         let run = |jobs: Jobs| {
-            ModuleSummaries::compute(&m, &ranges, GenConfig::default(), &index, solver, jobs)
+            let cfg = EngineConfig::default().with_jobs(jobs);
+            ModuleSummaries::compute(&m, &ranges, &index, &cfg, None, None).0
         };
         let serial = run(Jobs::parse("1").unwrap());
         for n in ["2", "4", "7"] {
@@ -863,22 +777,11 @@ mod tests {
         let mut m = sraa_minic::compile(src).unwrap();
         let (ranges, _) = sraa_essa::transform_module(&mut m);
         let index = VarIndex::new(&m);
-        let a = ModuleSummaries::compute(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            SolverKind::Scc.solver(),
-            Jobs::default(),
-        );
-        let b = ModuleSummaries::compute(
-            &m,
-            &ranges,
-            GenConfig::default(),
-            &index,
-            SolverKind::Worklist.solver(),
-            Jobs::default(),
-        );
+        let run = |solver| {
+            let cfg = EngineConfig { solver, ..Default::default() };
+            ModuleSummaries::compute(&m, &ranges, &index, &cfg, None, None).0
+        };
+        let (a, b) = (run(SolverKind::Scc), run(SolverKind::Worklist));
         assert_eq!(a, b);
     }
 }

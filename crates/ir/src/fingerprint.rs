@@ -1,8 +1,8 @@
 //! Stable content fingerprints of function bodies.
 //!
-//! The incremental summary engine (`sraa-core::persist`) keys its
-//! persistent cache by a hash of everything a function's summary can
-//! depend on. The per-body half of that key lives here:
+//! The incremental summary engine (`sraa-core::persist`) keys persisted
+//! summaries by a hash of everything a function's summary can depend
+//! on. The per-body half of that key lives here:
 //! [`body_fingerprint`] folds a function's signature, block structure and
 //! instruction stream into one 64-bit [FNV-1a] value.
 //!
@@ -18,8 +18,9 @@
 //!   not [`FuncId`], so editing one function does not perturb the
 //!   fingerprints of untouched ones even if ids were ever renumbered.
 //!   Function and parameter *names* are excluded for the same reason —
-//!   the analysis never reads them. (A function's own name is the cache
-//!   *lookup key* instead; see `sraa-core::persist`.)
+//!   the analysis never reads them. Lookup is by key alone, so a renamed
+//!   function with an unchanged body keeps its persisted summary (its
+//!   callers, whose bodies name it, do not).
 //!
 //! [FNV-1a]: https://en.wikipedia.org/wiki/Fowler%E2%80%93Noll%E2%80%93Vo_hash_function
 

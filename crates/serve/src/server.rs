@@ -3,12 +3,13 @@
 //!
 //! One [`Server`] owns the listening socket and the resident state — the
 //! uploaded modules, each with its solved [`DisambiguationEngine`] behind
-//! an `Arc`, its pre-rendered `eval` report and its in-memory summary
-//! cache. Connections are served by scoped threads off a polling accept
-//! loop (the PR 7 scheduler idiom: `std::thread::scope`, no detached
-//! threads), so shutdown is a drain: the flag flips, the accept loop
-//! stops, and `scope` waits for every in-flight connection to finish its
-//! current frame and notice the flag.
+//! an `Arc` (whose summaries are the prior of the next upload of the
+//! same name) and its pre-rendered `eval` report. Connections are served
+//! by scoped threads off a polling accept loop (the summary scheduler's
+//! idiom: `std::thread::scope`, no detached threads), so shutdown is a
+//! drain: the flag flips, the accept loop stops, and `scope` waits for
+//! every in-flight connection to finish its current frame and notice the
+//! flag.
 //!
 //! Robustness contract, exercised by the protocol fuzz test: any byte
 //! sequence a client sends yields a typed error reply or a clean close —
@@ -20,7 +21,7 @@
 use crate::protocol::{self, error_reply, obj, FrameError, Json};
 use crate::stats::ServeStats;
 use sraa_alias::{render_eval, AaEval, StrictInequalityAa};
-use sraa_core::{DisambiguationEngine, EngineConfig, SharedSummaryStore, SummaryCache};
+use sraa_core::{DisambiguationEngine, EngineConfig, SharedSummaryStore, SummaryMap};
 use sraa_ir::{FuncId, Module, Value};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -71,12 +72,11 @@ impl Default for ServerConfig {
 struct ModuleEntry {
     /// The module in e-SSA form (what the engine was built on).
     module: Module,
-    /// The solved engine, shared with every connection thread.
+    /// The solved engine, shared with every connection thread. Its
+    /// summaries are the prior of the next upload of this name.
     lt: StrictInequalityAa,
     /// `sraa eval` stdout for this module, rendered once at upload.
     eval_text: String,
-    /// In-memory summary cache for the *next* upload of this name.
-    cache: SummaryCache,
 }
 
 struct Daemon {
@@ -84,7 +84,7 @@ struct Daemon {
     modules: RwLock<HashMap<String, Arc<ModuleEntry>>>,
     /// Warm-start summaries from `--summary-cache`, used as the prior for
     /// the first upload of each module name.
-    warm: Option<SummaryCache>,
+    warm: Option<SummaryMap>,
     /// Resident content-addressed store (`--shared-store`): consulted —
     /// after a directory refresh, so live peer daemons' segments are
     /// seen — and published to on every upload.
@@ -205,10 +205,10 @@ impl Server {
     }
 
     /// Seeds the daemon with warm-start summaries (the CLI's
-    /// `--summary-cache`): the first upload of every module name is
-    /// classified against these instead of solving cold.
-    pub fn with_warm_cache(mut self, cache: SummaryCache) -> Self {
-        self.daemon.warm = Some(cache);
+    /// `--summary-cache`): the prior of the first upload of every module
+    /// name, so unchanged functions hit instead of solving cold.
+    pub fn with_warm_cache(mut self, prior: SummaryMap) -> Self {
+        self.daemon.warm = Some(prior);
         self
     }
 
@@ -517,14 +517,14 @@ fn cmd_upload(daemon: &Daemon, req: &Json) -> Outcome {
         Ok(m) => m,
         Err(e) => return Outcome::error("compile-error", e.to_string()),
     };
-    // Prior summaries: the resident entry if this is a re-upload, else
-    // the warm-start file. The engine classifies every function against
-    // them — unchanged ones are hits, the reverse-reachability closure of
-    // any edit is invalidated and re-solved.
-    let prior = match daemon.entry(name) {
-        Some(entry) => Some(entry.cache.clone()),
-        None => daemon.warm.clone(),
-    };
+    // Prior summaries: the resident engine's if this is a re-upload,
+    // else the warm-start file, else none (every function misses). The
+    // engine looks every function up by key — a function whose key is in
+    // the prior hits, the rest (at most the reverse-reachability closure
+    // of an edit) miss and are re-solved.
+    let resident = daemon.entry(name).and_then(|e| e.lt.engine().summaries().map(|s| s.prior()));
+    let empty = SummaryMap::new();
+    let prior = resident.as_ref().or(daemon.warm.as_ref()).unwrap_or(&empty);
     // Refresh before consulting: another daemon (or one-shot run)
     // sharing the store directory may have published segments since our
     // last upload; folding them in is what makes cross-process sharing
@@ -533,27 +533,25 @@ fn cmd_upload(daemon: &Daemon, req: &Json) -> Outcome {
     if let Some(store) = &daemon.store {
         store.refresh().ok();
     }
-    let engine = DisambiguationEngine::build_with_cache_and_store(
+    let engine = DisambiguationEngine::build_warm(
         &mut module,
         daemon.cfg.engine.clone(),
-        prior.as_ref(),
+        Some(prior),
         daemon.store.as_ref(),
     );
     let s = engine.stats();
-    let (hits, misses, invalidated) = (s.cache_hits, s.cache_misses, s.cache_invalidated);
+    let (hits, misses) = (s.cache_hits, s.cache_misses);
     let store_counts = (s.store_hits, s.store_misses, s.store_published);
     daemon.stats.cache_hits.fetch_add(hits as u64, Ordering::Relaxed);
     daemon.stats.cache_misses.fetch_add(misses as u64, Ordering::Relaxed);
-    daemon.stats.cache_invalidated.fetch_add(invalidated as u64, Ordering::Relaxed);
     daemon.stats.store_hits.fetch_add(store_counts.0 as u64, Ordering::Relaxed);
     daemon.stats.store_misses.fetch_add(store_counts.1 as u64, Ordering::Relaxed);
     daemon.stats.store_published.fetch_add(store_counts.2 as u64, Ordering::Relaxed);
-    let cache = engine.export_summary_cache(&module).unwrap_or_default();
     let lt = StrictInequalityAa::from_engine(engine);
     let eval_text = render_eval(&module, &lt);
     let functions = module.num_functions();
     let queries = AaEval::num_queries(&module);
-    let entry = Arc::new(ModuleEntry { module, lt, eval_text, cache });
+    let entry = Arc::new(ModuleEntry { module, lt, eval_text });
     daemon.modules_write().insert(name.to_string(), entry);
     let mut fields = vec![
         ("ok", Json::Bool(true)),
@@ -562,7 +560,6 @@ fn cmd_upload(daemon: &Daemon, req: &Json) -> Outcome {
         ("queries", Json::Num(queries as i64)),
         ("hits", Json::Num(hits as i64)),
         ("misses", Json::Num(misses as i64)),
-        ("invalidated", Json::Num(invalidated as i64)),
     ];
     // Store accounting rides along only when a store is configured, so
     // store-less daemons keep their exact historical reply shape.

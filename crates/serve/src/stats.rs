@@ -70,8 +70,6 @@ pub struct ServeStats {
     pub cache_hits: AtomicU64,
     /// Summary-cache misses accumulated over every upload.
     pub cache_misses: AtomicU64,
-    /// Summary-cache invalidations accumulated over every upload.
-    pub cache_invalidated: AtomicU64,
     /// Shared-store hits accumulated over every upload (0 without
     /// `--shared-store`).
     pub store_hits: AtomicU64,
@@ -125,7 +123,6 @@ impl ServeStats {
             ("panics", n(&self.panics)),
             ("cache_hits", n(&self.cache_hits)),
             ("cache_misses", n(&self.cache_misses)),
-            ("cache_invalidated", n(&self.cache_invalidated)),
             ("store_hits", n(&self.store_hits)),
             ("store_misses", n(&self.store_misses)),
             ("store_published", n(&self.store_published)),
@@ -144,7 +141,7 @@ impl std::fmt::Display for ServeStats {
         write!(
             f,
             "# serve: {} connection(s), {} upload(s), {} query(s), {} error(s), \
-             cache {} hit(s)/{} miss(es)/{} invalidated, \
+             cache {} hit(s)/{} miss(es), \
              store {} hit(s)/{} miss(es)/{} published, {} panic(s), \
              p50 {p50}us, p99 {p99}us",
             g(&self.connections),
@@ -153,7 +150,6 @@ impl std::fmt::Display for ServeStats {
             g(&self.errors),
             g(&self.cache_hits),
             g(&self.cache_misses),
-            g(&self.cache_invalidated),
             g(&self.store_hits),
             g(&self.store_misses),
             g(&self.store_published),

@@ -23,7 +23,7 @@
 //! boundaries — strictly more `no-alias` verdicts, never fewer — and
 //! `--summary-cache <path>` (implies `--interproc`), which persists those
 //! summaries between runs: unchanged functions skip their per-SCC solves
-//! on the next invocation. Cache outcomes (`N hit(s), M miss(es), …`) go
+//! on the next invocation. Cache outcomes (`N hit(s), M miss(es) (…)`) go
 //! to stderr so stdout stays byte-identical between warm and cold runs;
 //! a damaged or mismatched cache file falls back to a cold solve with a
 //! warning, never a panic or a stale result.
@@ -135,44 +135,43 @@ fn take_engine_flags(args: &[String]) -> Result<(Vec<String>, EngineConfig), i32
     Ok((rest, cfg))
 }
 
-/// Prints the warm/cold summary-cache outcome to **stderr** (stdout stays
+/// Builds the engine and prints the summary-cache and shared-store
+/// outcomes of the configured ones to **stderr**: stdout stays
 /// byte-identical between warm and cold runs, which the differential
-/// tests and the CI warm-run smoke rely on).
-fn report_cache(used_cache: bool, lt: &StrictInequalityAa) {
-    if !used_cache {
-        return;
-    }
+/// tests and the CI warm-run smoke rely on.
+fn build_engine(m: &mut sraa::ir::Module, cfg: EngineConfig) -> StrictInequalityAa {
+    let (used_cache, used_store) = (cfg.summary_cache.is_some(), cfg.shared_store.is_some());
+    let lt = StrictInequalityAa::with_engine_config(m, cfg);
     let s = lt.engine().stats();
-    let outcome = CacheOutcome {
-        hits: s.cache_hits,
-        misses: s.cache_misses,
-        invalidated: s.cache_invalidated,
-    };
+    if used_cache {
+        report_cache(CacheOutcome { hits: s.cache_hits, misses: s.cache_misses });
+    }
+    if used_store {
+        report_store(StoreOutcome {
+            hits: s.store_hits,
+            misses: s.store_misses,
+            published: s.store_published,
+        });
+    }
+    lt
+}
+
+fn report_cache(o: CacheOutcome) {
     eprintln!(
-        "# summary-cache: {} hit(s), {} miss(es), {} invalidated ({:.1}% hit rate)",
-        outcome.hits,
-        outcome.misses,
-        outcome.invalidated,
-        outcome.hit_rate() * 100.0
+        "# summary-cache: {} hit(s), {} miss(es) ({:.1}% hit rate)",
+        o.hits,
+        o.misses,
+        o.hit_rate() * 100.0
     );
 }
 
-/// Prints the shared-store outcome to **stderr**, mirroring
-/// [`report_cache`]: stdout must stay byte-identical between a cold run
-/// and a run answered from a populated store.
-fn report_store(used_store: bool, lt: &StrictInequalityAa) {
-    if !used_store {
-        return;
-    }
-    let s = lt.engine().stats();
-    let outcome =
-        StoreOutcome { hits: s.store_hits, misses: s.store_misses, published: s.store_published };
+fn report_store(o: StoreOutcome) {
     eprintln!(
         "# shared-store: {} hit(s), {} miss(es), {} published ({:.1}% hit rate)",
-        outcome.hits,
-        outcome.misses,
-        outcome.published,
-        outcome.hit_rate() * 100.0
+        o.hits,
+        o.misses,
+        o.published,
+        o.hit_rate() * 100.0
     );
 }
 
@@ -269,11 +268,7 @@ fn cmd_eval(args: &[String]) -> i32 {
         return 2;
     };
     let Ok(mut m) = load(path) else { return 1 };
-    let used_cache = cfg.summary_cache.is_some();
-    let used_store = cfg.shared_store.is_some();
-    let lt = StrictInequalityAa::with_engine_config(&mut m, cfg);
-    report_cache(used_cache, &lt);
-    report_store(used_store, &lt);
+    let lt = build_engine(&mut m, cfg);
     print!("{}", render_eval(&m, &lt));
     0
 }
@@ -290,11 +285,7 @@ fn cmd_lt(args: &[String]) -> i32 {
         return 2;
     };
     let Ok(mut m) = load(path) else { return 1 };
-    let used_cache = cfg.summary_cache.is_some();
-    let used_store = cfg.shared_store.is_some();
-    let lt = StrictInequalityAa::with_engine_config(&mut m, cfg);
-    report_cache(used_cache, &lt);
-    report_store(used_store, &lt);
+    let lt = build_engine(&mut m, cfg);
     let Some(fid) = m.function_by_name(fname) else {
         eprintln!("no function `{fname}`");
         return 1;
@@ -379,11 +370,7 @@ fn cmd_pdg(args: &[String]) -> i32 {
     };
     let Ok(mut m) = load(path) else { return 1 };
     cfg.gen.range_offsets = true; // the Figure 12 experiment's setting
-    let used_cache = cfg.summary_cache.is_some();
-    let used_store = cfg.shared_store.is_some();
-    let lt = StrictInequalityAa::with_engine_config(&mut m, cfg);
-    report_cache(used_cache, &lt);
-    report_store(used_store, &lt);
+    let lt = build_engine(&mut m, cfg);
     let ba = BasicAliasAnalysis::new(&m);
     let both = Combined::new(vec![Box::new(BasicAliasAnalysis::new(&m)), Box::new(lt.clone())]);
     let g_ba = DepGraph::build(&m, &ba);
@@ -409,11 +396,7 @@ fn cmd_opt(args: &[String]) -> i32 {
         return 2;
     };
     let Ok(mut m) = load(path) else { return 1 };
-    let used_cache = cfg.summary_cache.is_some();
-    let used_store = cfg.shared_store.is_some();
-    let lt = StrictInequalityAa::with_engine_config(&mut m, cfg);
-    report_cache(used_cache, &lt);
-    report_store(used_store, &lt);
+    let lt = build_engine(&mut m, cfg);
     let aa: Box<dyn AliasAnalysis> = if ba_only {
         Box::new(BasicAliasAnalysis::new(&m))
     } else {
@@ -504,8 +487,9 @@ fn cmd_serve(args: &[String]) -> i32 {
     if let Err(code) = reject_unknown_flags(&args, 0, USAGE) {
         return code;
     }
-    // `--summary-cache` is the daemon's warm start: read once at boot,
-    // then the cache lives in memory and rolls forward upload-to-upload.
+    // `--summary-cache` is the daemon's warm start: read once at boot as
+    // the prior of each module name's first upload; later uploads use
+    // the resident engine's summaries.
     let warm =
         cfg.summary_cache.take().and_then(|path| match sraa::lt::persist::load(&path, cfg.gen) {
             Ok(c) => {
@@ -664,34 +648,17 @@ fn run_query(client: &mut sraa::serve::Client, words: &[String]) -> i32 {
             if !r.is_ok() {
                 return fail_reply(&r);
             }
-            let outcome = CacheOutcome {
-                hits: r.num_field("hits").unwrap_or(0) as u32,
-                misses: r.num_field("misses").unwrap_or(0) as u32,
-                invalidated: r.num_field("invalidated").unwrap_or(0) as u32,
-            };
-            eprintln!(
-                "# summary-cache: {} hit(s), {} miss(es), {} invalidated ({:.1}% hit rate)",
-                outcome.hits,
-                outcome.misses,
-                outcome.invalidated,
-                outcome.hit_rate() * 100.0
-            );
+            let n = |k: &str| r.num_field(k).unwrap_or(0) as u32;
+            report_cache(CacheOutcome { hits: n("hits"), misses: n("misses") });
             // Store counters only appear when the daemon runs with
             // `--shared-store`; suppress the line otherwise so store-less
             // output is unchanged.
             if r.num_field("store_hits").is_some() {
-                let store = StoreOutcome {
-                    hits: r.num_field("store_hits").unwrap_or(0) as u32,
-                    misses: r.num_field("store_misses").unwrap_or(0) as u32,
-                    published: r.num_field("store_published").unwrap_or(0) as u32,
-                };
-                eprintln!(
-                    "# shared-store: {} hit(s), {} miss(es), {} published ({:.1}% hit rate)",
-                    store.hits,
-                    store.misses,
-                    store.published,
-                    store.hit_rate() * 100.0
-                );
+                report_store(StoreOutcome {
+                    hits: n("store_hits"),
+                    misses: n("store_misses"),
+                    published: n("store_published"),
+                });
             }
             println!(
                 "uploaded {}: {} function(s), {} queries",

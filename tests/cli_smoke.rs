@@ -366,9 +366,11 @@ fn summary_cache_works_on_every_engine_verb() {
     assert_eq!(out.status.code(), Some(2));
 }
 
-/// Corrupted, truncated, version-mismatched and wrong-module cache files
-/// must all fall back to a cold solve: exit 0, stdout identical to a
-/// cacheless run, a warning on stderr — never a panic or a stale result.
+/// Corrupted, truncated, version-mismatched, wrong-module and legacy
+/// (name-keyed `SRAASUMC` layout) cache files must all fall back to a
+/// cold solve: exit 0, stdout identical to a cacheless run, a warning on
+/// stderr — never a panic or a stale result — and be healed into the
+/// segment encoding.
 #[test]
 fn defective_cache_files_fall_back_to_cold_with_a_warning() {
     let f = calls_file();
@@ -410,9 +412,18 @@ fn defective_cache_files_fall_back_to_cold_with_a_warning() {
         bytes
     };
 
-    for (tag, bytes) in
-        [("corrupted", corrupted), ("truncated", truncated), ("version", vnext), ("wrong", wrong)]
-    {
+    // A cache file in the retired name-keyed layout.
+    let legacy =
+        std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/summary_cache_v1.bin"))
+            .expect("legacy fixture");
+
+    for (tag, bytes) in [
+        ("corrupted", corrupted),
+        ("truncated", truncated),
+        ("version", vnext),
+        ("wrong", wrong),
+        ("legacy", legacy),
+    ] {
         let cache = cache_path(&format!("defect_{tag}"));
         std::fs::write(&cache, &bytes).unwrap();
         let out = sraa(&["eval", path, "--summary-cache", cache.to_str().unwrap()]);
@@ -428,6 +439,7 @@ fn defective_cache_files_fall_back_to_cold_with_a_warning() {
             stderr_of(&out)
         );
         // The defective file was healed: the next run is fully warm.
+        assert!(std::fs::read(&cache).unwrap().starts_with(b"SRAASTOR"), "{tag}: not healed");
         let again = sraa(&["eval", path, "--summary-cache", cache.to_str().unwrap()]);
         assert!(again.status.success());
         assert!(

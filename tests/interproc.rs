@@ -126,14 +126,8 @@ fn ondemand_prover_agrees_on_summary_systems() {
     let mut m = sraa_minic::compile(&w.source).unwrap();
     let (ranges, _) = sraa_essa::transform_module(&mut m);
     let index = VarIndex::new(&m);
-    let sums = ModuleSummaries::compute(
-        &m,
-        &ranges,
-        GenConfig::default(),
-        &index,
-        SolverKind::Scc.solver(),
-        sraa_core::Jobs::default(),
-    );
+    let (sums, ..) =
+        ModuleSummaries::compute(&m, &ranges, &index, &EngineConfig::default(), None, None);
     let sys = sraa_core::generate_with_summaries(&m, &ranges, GenConfig::default(), &index, &sums);
     let solution = sraa_core::solve(&sys.constraints, sys.num_vars);
     let mut prover = OnDemandProver::new(&sys);

@@ -6,13 +6,14 @@
 //!
 //! * cold solves, serial vs parallel, on a module wide enough to cross
 //!   the scheduler's spawn floor;
-//! * warm (`--summary-cache`) runs, where only the cold *misses* fan out;
+//! * warm (`--summary-cache`) runs, where only the cold *misses* fan out
+//!   (and the misses are exactly the keys the prior lacks);
 //! * the solver strategies under parallel jobs (`worklist ≡ scc` must
 //!   keep holding when solves run on worker threads);
 //! * random csmith-with-helpers programs, cold and warm, via proptest.
 
 use sraa_core::{
-    persist, CacheOutcome, GenConfig, Jobs, ModuleSummaries, SolverKind, SummaryKeys, VarId,
+    CacheOutcome, EngineConfig, GenConfig, Jobs, ModuleSummaries, SolverKind, SummaryMap, VarId,
     VarIndex,
 };
 use sraa_ir::Module;
@@ -65,31 +66,29 @@ fn prepare(src: &str) -> Prepared {
     Prepared { module, ranges, index }
 }
 
-fn cold(p: &Prepared, j: Jobs, solver: SolverKind) -> ModuleSummaries {
-    ModuleSummaries::compute(
-        &p.module,
-        &p.ranges,
-        GenConfig::default(),
-        &p.index,
-        solver.solver(),
-        j,
-    )
-}
-
-fn warm(
+fn compute(
     p: &Prepared,
     j: Jobs,
-    cache: &persist::SummaryCache,
-) -> (ModuleSummaries, SummaryKeys, CacheOutcome) {
-    ModuleSummaries::compute_incremental(
-        &p.module,
-        &p.ranges,
-        GenConfig::default(),
-        &p.index,
-        SolverKind::Scc.solver(),
-        j,
-        Some(cache),
-    )
+    solver: SolverKind,
+    prior: Option<&SummaryMap>,
+) -> (ModuleSummaries, CacheOutcome) {
+    let cfg = EngineConfig { solver, ..EngineConfig::default().with_jobs(j) };
+    let (sums, outcome, _) =
+        ModuleSummaries::compute(&p.module, &p.ranges, &p.index, &cfg, prior, None);
+    (sums, outcome)
+}
+
+fn cold(p: &Prepared, j: Jobs, solver: SolverKind) -> ModuleSummaries {
+    compute(p, j, solver, None).0
+}
+
+fn warm(p: &Prepared, j: Jobs, prior: &SummaryMap) -> (ModuleSummaries, CacheOutcome) {
+    let (sums, outcome) = compute(p, j, SolverKind::Scc, Some(prior));
+    // Lookup is by key alone: the misses are exactly the functions whose
+    // key the prior lacks.
+    let misses = sums.entries().filter(|(k, _)| !prior.contains_key(k)).count();
+    assert_eq!(outcome.misses as usize, misses, "misses must be the keys the prior lacks");
+    (sums, outcome)
 }
 
 /// Asserts two summary computations are indistinguishable all the way
@@ -112,7 +111,7 @@ fn assert_equivalent(p: &Prepared, a: &ModuleSummaries, b: &ModuleSummaries, wha
     let (sys_a, sys_b) = (gen(a), gen(b));
     assert_eq!(sys_a.constraints, sys_b.constraints, "{what}: constraint streams differ");
     assert_eq!(sys_a.num_vars, sys_b.num_vars);
-    let solver = SolverKind::Scc.solver();
+    let solver = SolverKind::Scc;
     let (sol_a, sol_b) = (
         solver.solve(&sys_a.constraints, sys_a.num_vars),
         solver.solve(&sys_b.constraints, sys_b.num_vars),
@@ -141,27 +140,29 @@ fn cold_solves_are_jobs_invariant_on_a_wide_module() {
 
 #[test]
 fn warm_runs_are_jobs_invariant_including_their_outcome() {
-    // Cache built from a *different* body variant: the warm run sees
-    // real misses/invalidations, so its cold residue goes through the
-    // wavefront scheduler rather than being all cache hits.
+    // Prior built from a *different* body variant: the warm run sees
+    // real misses, so its cold residue goes through the wavefront
+    // scheduler rather than being all hits.
     let old = prepare(&wide_source(24, 80, 7));
-    let old_sums = cold(&old, jobs(1), SolverKind::Scc);
-    let old_keys = SummaryKeys::compute(&old.module);
-    let bytes = persist::to_bytes(&old.module, &old_sums, &old_keys, GenConfig::default());
-    let cache = persist::from_bytes(&bytes, GenConfig::default()).expect("cache round trip");
+    let prior = cold(&old, jobs(1), SolverKind::Scc).prior();
 
     let p = prepare(&wide_source(24, 80, 0));
     let baseline = cold(&p, jobs(1), SolverKind::Scc);
-    let (warm1, keys1, out1) = warm(&p, jobs(1), &cache);
-    assert!(out1.misses + out1.invalidated > 0, "the variant cache must not fully hit");
+    let (warm1, out1) = warm(&p, jobs(1), &prior);
+    assert!(out1.misses > 0, "the variant prior must not fully hit");
     for n in [2, 4] {
-        let (warmn, keysn, outn) = warm(&p, jobs(n), &cache);
-        assert_eq!(out1, outn, "hit/miss/invalidated counts must be jobs-invariant");
-        assert_eq!(keys1, keysn);
+        let (warmn, outn) = warm(&p, jobs(n), &prior);
+        assert_eq!(out1, outn, "hit/miss counts must be jobs-invariant");
+        assert_eq!(warm1.keys(), warmn.keys());
         assert_equivalent(&p, &warm1, &warmn, &format!("warm jobs=1 vs jobs={n}"));
     }
     // And the warm result is still byte-identical to a fresh cold run.
-    assert_equivalent(&p, &baseline, &warm1, "cold vs warm");
+    // Only `solves`, the work actually done, differs: the helpers whose
+    // bodies the variant prior already holds (under other names) hit.
+    assert!(warm1.stats.solves < baseline.stats.solves, "hits must skip their solves");
+    let mut warm_as_cold = warm1.clone();
+    warm_as_cold.stats.solves = baseline.stats.solves;
+    assert_equivalent(&p, &baseline, &warm_as_cold, "cold vs warm");
 }
 
 #[test]
@@ -200,7 +201,7 @@ mod proptests {
             assert_equivalent(&p, &serial, &parallel, &w.name);
         }
 
-        /// Warm runs against a cache from a *different seed* (a mix of
+        /// Warm runs against a prior from a *different seed* (a mix of
         /// hits and misses, depending on which helper bodies collide):
         /// outcome counts and results are jobs-invariant.
         #[test]
@@ -215,15 +216,11 @@ mod proptests {
                 helpers,
             });
             let old = prepare(&mk(seed + 100).source);
-            let old_sums = cold(&old, jobs(1), SolverKind::Scc);
-            let old_keys = SummaryKeys::compute(&old.module);
-            let bytes =
-                persist::to_bytes(&old.module, &old_sums, &old_keys, GenConfig::default());
-            let cache = persist::from_bytes(&bytes, GenConfig::default()).unwrap();
+            let prior = cold(&old, jobs(1), SolverKind::Scc).prior();
 
             let p = prepare(&mk(seed).source);
-            let (warm1, _, out1) = warm(&p, jobs(1), &cache);
-            let (warm3, _, out3) = warm(&p, jobs(3), &cache);
+            let (warm1, out1) = warm(&p, jobs(1), &prior);
+            let (warm3, out3) = warm(&p, jobs(3), &prior);
             prop_assert_eq!(out1, out3);
             assert_equivalent(&p, &warm1, &warm3, "csmith warm");
         }

@@ -195,24 +195,35 @@ fn mutated_reupload_invalidates_exactly_the_reverse_reachability_closure() {
     let up = client.request(&upload_req("m", &old_src)).expect("upload");
     assert!(up.is_ok());
     assert_eq!(up.num_field("misses"), Some(n as i64 + 1));
-    assert_eq!((up.num_field("hits"), up.num_field("invalidated")), (Some(0), Some(0)));
+    assert_eq!(up.num_field("hits"), Some(0));
+    assert_eq!(up.get("invalidated"), None, "the reply has no invalidated bucket");
 
     // Unchanged re-upload: a complete hit.
     let again = client.request(&upload_req("m", &old_src)).expect("re-upload");
     assert_eq!(again.num_field("hits"), Some(n as i64 + 1));
-    assert_eq!((again.num_field("misses"), again.num_field("invalidated")), (Some(0), Some(0)));
+    assert_eq!(again.num_field("misses"), Some(0));
 
-    // Mutated re-upload: exactly the reverse-reachability closure of h2
-    // is invalidated ({h2, h1, h0, main}); h3 stays warm.
+    // Mutated re-upload: exactly the functions whose key changed miss —
+    // here the reverse-reachability closure of h2 ({h2, h1, h0, main}),
+    // since the edit creates no body the old module had; h3 stays warm.
     let (fresh, cold_lt) = one_shot(&new_src);
     let h2 = fresh.function_by_name("h2").expect("helper exists");
     let closure = reverse_reachable(&fresh, &BTreeSet::from([h2]));
+    let (_, old_lt) = one_shot(&old_src);
+    let old_keys: BTreeSet<u64> =
+        old_lt.engine().summaries().unwrap().entries().map(|(k, _)| k).collect();
+    let new_sums = cold_lt.engine().summaries().unwrap();
+    let key_misses: BTreeSet<FuncId> = new_sums
+        .iter()
+        .map(|(f, _)| f)
+        .filter(|&f| !old_keys.contains(&new_sums.keys().of(f)))
+        .collect();
+    assert_eq!(key_misses, closure);
     let total = fresh.num_functions();
     let mu = client.request(&upload_req("m", &new_src)).expect("mutated re-upload");
     assert!(mu.is_ok());
-    assert_eq!(mu.num_field("invalidated"), Some(closure.len() as i64));
+    assert_eq!(mu.num_field("misses"), Some(closure.len() as i64));
     assert_eq!(mu.num_field("hits"), Some((total - closure.len()) as i64));
-    assert_eq!(mu.num_field("misses"), Some(0), "same function set: nothing can miss");
 
     // Differential: daemon answers after the mutated re-upload match a
     // cold one-shot run on the mutated module — eval text byte-for-byte,
@@ -274,9 +285,38 @@ fn warm_start_cache_makes_the_first_upload_hit() {
     let mut client = Client::connect_tcp(addr).expect("connect");
     let up = client.request(&upload_req("demo", CALLS)).expect("upload");
     assert_eq!(up.num_field("hits"), Some(3), "warm start: first upload hits fully");
-    assert_eq!((up.num_field("misses"), up.num_field("invalidated")), (Some(0), Some(0)));
+    assert_eq!(up.num_field("misses"), Some(0));
     client.request(&obj([("cmd", Json::Str("shutdown".into()))])).expect("shutdown");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn renamed_and_duplicated_functions_hit_on_reupload() {
+    // The re-upload renames the leaf `advance` to `step` and adds `keep`,
+    // a copy of it: both keep the key of the old `advance`, so both hit
+    // the prior the resident engine provides. `use_helper` (whose body
+    // names the callee) and `main` miss.
+    let before = CALLS;
+    let after = r#"
+int* step(int* p, int k) { if (k > 0) { return p + k; } return p + 1; }
+int* keep(int* p, int k) { if (k > 0) { return p + k; } return p + 1; }
+int use_helper(int* p, int n) { int* q = step(p, n); *q = 1; *p = 2; return *keep(q, n); }
+int main() { int a[8]; return use_helper(a, 3); }
+"#;
+    let (_, addr, _handle) = spawn_server(ServerConfig::default());
+    let mut client = Client::connect_tcp(addr).expect("connect");
+    assert!(client.request(&upload_req("m", before)).expect("upload").is_ok());
+    let up = client.request(&upload_req("m", after)).expect("re-upload");
+    assert_eq!((up.num_field("hits"), up.num_field("misses")), (Some(2), Some(2)));
+
+    // Answers stay byte-identical to a cold one-shot run: the eval
+    // report covers every function's no-alias verdicts.
+    let (fresh, cold_lt) = one_shot(after);
+    let ev = client
+        .request(&obj([("cmd", Json::Str("eval".into())), ("module", Json::Str("m".into()))]))
+        .expect("eval");
+    assert_eq!(ev.str_field("text"), Some(render_eval(&fresh, &cold_lt).as_str()));
+    client.request(&obj([("cmd", Json::Str("shutdown".into()))])).expect("shutdown");
 }
 
 /// Satellite regression: a connection thread that panics — even while

@@ -180,7 +180,7 @@ fn repeated_runs_are_deterministic() {
         // design and are likewise excluded from `SolveStats` equality.
         let s = engine.stats();
         rendered.push_str(&format!(
-            "{} {} {} {} {} {} {} {} {} {}\n{:?}",
+            "{} {} {} {} {} {} {} {} {}\n{:?}",
             s.constraints,
             s.variables,
             s.pops,
@@ -190,7 +190,6 @@ fn repeated_runs_are_deterministic() {
             s.union_cycles,
             s.cache_hits,
             s.cache_misses,
-            s.cache_invalidated,
             engine.size_histogram()
         ));
         rendered

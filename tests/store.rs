@@ -49,7 +49,7 @@ fn cold_eval(src: &str) -> String {
 /// rendered report and the engine's store counters.
 fn store_eval(src: &str, store: &SharedSummaryStore) -> (String, u32, u32, u32) {
     let mut m = sraa::minic::compile(src).expect("source compiles");
-    let engine = DisambiguationEngine::build_with_cache_and_store(
+    let engine = DisambiguationEngine::build_warm(
         &mut m,
         EngineConfig::default().with_summaries(),
         None,
